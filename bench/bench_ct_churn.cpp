@@ -61,12 +61,8 @@ net::Packet make_conn_packet(std::size_t i)
     return p;
 }
 
-// Drives one tracker through ramp + churn. Works for both
-// ovs::UserspaceConntrack and kern::Conntrack: the sharding refactor
-// deliberately kept their clocking surface (process/tick/size/
-// last_expire_visited) identical.
-template <typename Tracker>
-RunStats run_churn(const char* domain, Tracker& ct, std::size_t target)
+// Drives one tracker (either conntrack profile) through ramp + churn.
+RunStats run_churn(const char* domain, kern::Conntrack& ct, std::size_t target)
 {
     // Idle timeout ~10% past the ramp so peak concurrency overshoots
     // the target before the wheel starts reclaiming the oldest entries.

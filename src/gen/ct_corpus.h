@@ -1,7 +1,7 @@
-// Canned conntrack edge-case sequences shared by the kern::Conntrack and
-// ovs::UserspaceConntrack unit tests and the fuzz corpus. Header-only and
-// net-only so both test binaries (and the gen library) can include it
-// without new link dependencies.
+// Canned conntrack edge-case sequences shared by the conntrack unit
+// tests (run under both the kernel and the userspace profile) and the
+// fuzz corpus. Header-only and net-only so the test binaries (and the
+// gen library) can include it without new link dependencies.
 #pragma once
 
 #include <cstdint>

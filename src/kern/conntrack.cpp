@@ -9,7 +9,6 @@
 #include "net/rewrite.h"
 #include "obs/appctl.h"
 #include "obs/coverage.h"
-#include "obs/trace.h"
 #include "san/audit.h"
 
 namespace ovsx::kern {
@@ -31,6 +30,10 @@ std::string CtSnapshotEntry::to_string() const
     return os.str();
 }
 
+namespace {
+
+// The translated reply tuple for a connection whose original direction
+// is `tuple` under `nat` (with `port` already allocated; 0 = keep).
 CtTuple nat_reply_tuple(const CtTuple& tuple, const NatSpec& nat, std::uint16_t port)
 {
     CtTuple reply = tuple.reversed();
@@ -47,13 +50,24 @@ CtTuple nat_reply_tuple(const CtTuple& tuple, const NatSpec& nat, std::uint16_t 
     return reply;
 }
 
+std::uint32_t clamp_shards(std::uint32_t n)
+{
+    std::uint32_t p = 1;
+    while (p < n && p < Conntrack::kMaxShards) p <<= 1;
+    return p;
+}
+
+} // namespace
+
 // ---- sharding ----------------------------------------------------------
 
 // One shard: a slice of the tuple index, the connections it owns, and
 // the timer wheel those connections are filed into, all under one
 // capability-annotated mutex with a stable per-index name.
 struct Conntrack::Shard {
-    explicit Shard(std::uint32_t i) : mu(sync::shard_lock_name("kern.ct.shard", i)) {}
+    Shard(const char* lock_prefix, std::uint32_t i) : mu(sync::shard_lock_name(lock_prefix, i))
+    {
+    }
 
     sync::Mutex mu;
     // Both tuple directions index into one connection entry (possibly
@@ -86,17 +100,6 @@ private:
     const Conntrack& ct_;
 };
 
-namespace {
-
-std::uint32_t clamp_shards(std::uint32_t n)
-{
-    std::uint32_t p = 1;
-    while (p < n && p < Conntrack::kMaxShards) p <<= 1;
-    return p;
-}
-
-} // namespace
-
 std::uint32_t Conntrack::shard_of_tuple(const CtTuple& t, std::uint32_t nshards)
 {
     if (nshards <= 1) return 0;
@@ -114,12 +117,19 @@ std::uint32_t Conntrack::shard_of_tuple(const CtTuple& t, std::uint32_t nshards)
     return static_cast<std::uint32_t>(h) & (nshards - 1);
 }
 
-Conntrack::Conntrack(const sim::CostModel& costs, std::uint32_t shards) : costs_(costs)
+Conntrack::Conntrack(const CtProfile& profile, const sim::CostModel& costs, std::uint32_t shards)
+    : costs_(costs),
+      profile_(profile),
+      cov_lookup_(obs::coverage_id(profile.cov_lookup)),
+      cov_nat_exhausted_(obs::coverage_id(profile.cov_nat_exhausted)),
+      zones_mu_(profile.zones_lock)
 {
     nshards_ = clamp_shards(shards);
     shards_.reserve(nshards_);
-    for (std::uint32_t i = 0; i < nshards_; ++i) shards_.push_back(std::make_unique<Shard>(i));
-    obs_token_ = obs::memory_register("kern.ct", [this] {
+    for (std::uint32_t i = 0; i < nshards_; ++i) {
+        shards_.push_back(std::make_unique<Shard>(profile_.shard_lock, i));
+    }
+    obs_token_ = obs::memory_register(profile_.table, [this] {
         // Same rendered fields as the single-map reporter; per-shard
         // sums taken one shard lock at a time (no global freeze).
         std::size_t conns = 0, index = 0, nat = 0;
@@ -137,7 +147,7 @@ Conntrack::Conntrack(const sim::CostModel& costs, std::uint32_t shards) : costs_
         v.set("nat_bindings", static_cast<std::uint64_t>(nat));
         return v;
     });
-    shards_token_ = obs::shards_register("kern.ct", [this] {
+    shards_token_ = obs::shards_register(profile_.table, [this] {
         obs::Value v = obs::Value::object();
         v.set("shard_count", static_cast<std::uint64_t>(nshards_));
         obs::Value occ = obs::Value::array();
@@ -154,8 +164,8 @@ Conntrack::~Conntrack()
 {
     obs::shards_unregister(shards_token_);
     obs::memory_unregister(obs_token_);
-    san::audit_clear(san_scope_, "ct.entry");
-    san::audit_clear(san_scope_, "ct.nat");
+    san::audit_clear(san_scope_, profile_.audit_entry);
+    san::audit_clear(san_scope_, profile_.audit_nat);
 }
 
 void Conntrack::reshard(std::uint32_t n)
@@ -179,7 +189,9 @@ void Conntrack::reshard(std::uint32_t n)
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::vector<std::unique_ptr<Shard>> next;
     next.reserve(target);
-    for (std::uint32_t i = 0; i < target; ++i) next.push_back(std::make_unique<Shard>(i));
+    for (std::uint32_t i = 0; i < target; ++i) {
+        next.push_back(std::make_unique<Shard>(profile_.shard_lock, i));
+    }
     shards_ = std::move(next);
     nshards_ = target;
     for (auto& [id, e] : entries) {
@@ -225,7 +237,7 @@ void Conntrack::flush()
 {
     AllShardsGuard all(*this);
     for (const auto& s : shards_) {
-        OVSX_SAN_ACCESS_AT(s.get(), "kern.ct", true);
+        OVSX_SAN_ACCESS_AT(s.get(), profile_.table, true);
         s->index.clear();
         s->conns.clear();
         s->wheel.clear();
@@ -234,8 +246,8 @@ void Conntrack::flush()
         sync::LockGuard zguard(zones_mu_);
         zone_counts_.clear();
     }
-    san::audit_clear(san_scope_, "ct.entry");
-    san::audit_clear(san_scope_, "ct.nat");
+    san::audit_clear(san_scope_, profile_.audit_entry);
+    san::audit_clear(san_scope_, profile_.audit_nat);
 }
 
 void Conntrack::san_check(san::Site site) const
@@ -251,8 +263,8 @@ void Conntrack::san_check(san::Site site) const
             if (e.nat) ++nat;
         }
     }
-    san::audit_expect_size(san_scope_, "ct.entry", conns, site);
-    san::audit_expect_size(san_scope_, "ct.nat", nat, site);
+    san::audit_expect_size(san_scope_, profile_.audit_entry, conns, site);
+    san::audit_expect_size(san_scope_, profile_.audit_nat, nat, site);
 }
 
 bool Conntrack::local_path_ok(const CtTuple& lookup, bool icmp_error, const net::FlowKey& key,
@@ -290,30 +302,24 @@ bool Conntrack::local_path_ok(const CtTuple& lookup, bool icmp_error, const net:
     return shard_of(nat_reply_tuple(lookup, spec.nat, 0)) == home;
 }
 
-CtResult Conntrack::process(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
-                            sim::ExecContext& ctx, sim::Nanos now)
+std::uint8_t Conntrack::process(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
+                                sim::ExecContext& ctx, sim::Nanos now)
 {
-    // Hash + lookup cost, comparable to a flow-table probe.
-    ctx.charge(costs_.kdp_flow_probe);
-    OVSX_COVERAGE_CTX(ctx, "ct.lookup");
-    const std::uint16_t zone = spec.zone;
+    // Hash + lookup cost, comparable to the datapath's own table probe.
+    ctx.charge(costs_.*profile_.probe_cost);
+    ctx.count(cov_lookup_);
+
+    auto finish_invalid = [&] {
+        const std::uint8_t state = net::kCtStateTracked | net::kCtStateInvalid;
+        pkt.meta().ct_state = state;
+        pkt.meta().ct_zone = spec.zone;
+        return state;
+    };
 
     // Stateless rejections touch no table state: no lock needed.
     // Only TCP/UDP/ICMP are tracked; later fragments are untrackable.
-    if (key.nw_proto != 6 && key.nw_proto != 17 && key.nw_proto != 1) {
-        CtResult res;
-        res.state = net::kCtStateTracked | net::kCtStateInvalid;
-        pkt.meta().ct_state = res.state;
-        pkt.meta().ct_zone = zone;
-        return res;
-    }
-    if (key.nw_frag & net::kFragLater) {
-        CtResult res;
-        res.state = net::kCtStateTracked | net::kCtStateInvalid;
-        pkt.meta().ct_state = res.state;
-        pkt.meta().ct_zone = zone;
-        return res;
-    }
+    if (key.nw_proto != 6 && key.nw_proto != 17 && key.nw_proto != 1) return finish_invalid();
+    if (key.nw_frag & net::kFragLater) return finish_invalid();
 
     // Route to the home shard: the first index probe uses the ICMP-cited
     // inner tuple for ICMP errors, the packet tuple otherwise.
@@ -322,16 +328,10 @@ CtResult Conntrack::process(net::Packet& pkt, const net::FlowKey& key, const CtS
     if (key.nw_proto == 1 && net::icmp_type_is_error(key.icmp_type)) {
         icmp_error = true;
         const net::IcmpInnerTuple inner = net::parse_icmp_inner(pkt);
-        if (!inner.valid) {
-            CtResult res;
-            res.state = net::kCtStateTracked | net::kCtStateInvalid;
-            pkt.meta().ct_state = res.state;
-            pkt.meta().ct_zone = zone;
-            return res;
-        }
-        lookup = CtTuple{inner.src, inner.dst, inner.sport, inner.dport, inner.proto, zone};
+        if (!inner.valid) return finish_invalid();
+        lookup = CtTuple{inner.src, inner.dst, inner.sport, inner.dport, inner.proto, spec.zone};
     } else {
-        lookup = CtTuple::from_key(key, zone);
+        lookup = CtTuple::from_key(key, spec.zone);
     }
     const std::uint32_t home = shard_of(lookup);
 
@@ -340,33 +340,28 @@ CtResult Conntrack::process(net::Packet& pkt, const net::FlowKey& key, const CtS
         // lock) that every tuple this packet touches routes to `home`.
         sync::LockGuard guard(shards_[home]->mu);
         if (local_path_ok(lookup, icmp_error, key, spec, home)) {
-            OVSX_SAN_ACCESS_AT(shards_[home].get(), "kern.ct", true);
-            return process_routed(pkt, key, spec, ctx, now, /*global=*/false, home);
+            OVSX_SAN_ACCESS_AT(shards_[home].get(), profile_.table, true);
+            return process_routed(pkt, key, spec, ctx, now, home);
         }
     }
     // Slow path (NAT crossing shards, cross-shard teardown, port-range
     // allocation, or a single-shard table): all shard locks, ascending.
     if (nshards_ > 1) OVSX_COVERAGE("ct.cross_shard");
     AllShardsGuard all(*this);
-    for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), "kern.ct", true);
-    return process_routed(pkt, key, spec, ctx, now, /*global=*/true, home);
+    for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), profile_.table, true);
+    return process_routed(pkt, key, spec, ctx, now, home);
 }
 
-CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
-                                   sim::ExecContext& ctx, sim::Nanos now, bool global,
-                                   std::uint32_t home)
+std::uint8_t Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key,
+                                       const CtSpec& spec, sim::ExecContext& ctx, sim::Nanos now,
+                                       std::uint32_t home)
 {
-    (void)global;
     const std::uint16_t zone = spec.zone;
-
-    CtResult res;
-    res.state = net::kCtStateTracked;
-
-    auto finish_invalid = [&] {
-        res.state |= net::kCtStateInvalid;
-        pkt.meta().ct_state = res.state;
+    std::uint8_t state = net::kCtStateTracked;
+    auto finish = [&](std::uint8_t s) {
+        pkt.meta().ct_state = s;
         pkt.meta().ct_zone = zone;
-        return res;
+        return s;
     };
 
     // ICMP errors are RELATED to the connection their payload cites
@@ -374,18 +369,13 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
     // nothing we track is invalid.
     if (key.nw_proto == 1 && net::icmp_type_is_error(key.icmp_type)) {
         const net::IcmpInnerTuple inner = net::parse_icmp_inner(pkt);
-        if (!inner.valid) return finish_invalid();
+        if (!inner.valid) return finish(state | net::kCtStateInvalid);
         const CtTuple cited{inner.src, inner.dst, inner.sport, inner.dport, inner.proto, zone};
         Shard& csh = *shards_[shard_of(cited)];
         auto rel = csh.index.find(cited);
-        if (rel == csh.index.end()) return finish_invalid();
-        CtEntry& e = shards_[rel->second.shard]->conns[rel->second.id];
-        res.state |= net::kCtStateRelated;
-        res.entry = &e;
-        pkt.meta().ct_state = res.state;
-        pkt.meta().ct_zone = zone;
-        pkt.meta().ct_mark = e.mark;
-        return res;
+        if (rel == csh.index.end()) return finish(state | net::kCtStateInvalid);
+        pkt.meta().ct_mark = shards_[rel->second.shard]->conns[rel->second.id].mark;
+        return finish(state | net::kCtStateRelated);
     }
 
     const bool is_rst = key.nw_proto == 6 && (key.tcp_flags & net::kTcpRst) != 0;
@@ -399,30 +389,26 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
         const bool is_reply = (tuple == e.reply) && !(e.reply == e.orig);
         if (is_reply) {
             e.seen_reply = true;
-            res.state |= net::kCtStateReply;
+            state |= net::kCtStateReply;
         }
-        res.state |= e.confirmed ? net::kCtStateEstablished : net::kCtStateNew;
+        state |= e.confirmed ? net::kCtStateEstablished : net::kCtStateNew;
         if (spec.commit && !e.confirmed) e.confirmed = true;
         if (spec.commit && spec.set_mark) e.mark = spec.mark;
         e.packets++;
         e.last_seen = now;
         e.wheel_bucket = osh.wheel.touch(ref.id, e.wheel_bucket, now);
-        res.entry = &e;
         pkt.meta().ct_mark = e.mark;
         if (e.nat) apply_nat(pkt, e, is_reply, ctx);
         if (is_rst) {
             // RST tears the connection down: the next SYN on this tuple
             // starts a fresh NEW connection.
             erase_entry_routed(ref);
-            res.entry = nullptr;
         }
-        pkt.meta().ct_state = res.state;
-        pkt.meta().ct_zone = zone;
-        return res;
+        return finish(state);
     }
     if (is_rst) {
         // RST for a connection we never saw: untrackable.
-        return finish_invalid();
+        return finish(state | net::kCtStateInvalid);
     }
 
     // New connection. Zone accounting is global, nested inside the
@@ -432,11 +418,10 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
         const std::size_t count = zone_counts_[zone];
         const auto lim = zone_limits_.find(zone);
         if (lim != zone_limits_.end() && lim->second != 0 && count >= lim->second) {
-            return finish_invalid(); // zone limit exceeded
+            return finish(state | net::kCtStateInvalid); // zone limit exceeded
         }
     }
 
-    res.state |= net::kCtStateNew;
     CtEntry entry;
     entry.orig = tuple;
     entry.confirmed = spec.commit;
@@ -472,9 +457,8 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
             }
             if (chosen == 0) {
                 // Range exhausted: the connection is untrackable.
-                OVSX_COVERAGE_CTX(ctx, "ct.nat_port_exhausted");
-                res.state = static_cast<std::uint8_t>(res.state & ~net::kCtStateNew);
-                return finish_invalid();
+                ctx.count(cov_nat_exhausted_);
+                return finish(state | net::kCtStateInvalid);
             }
             nat.port = chosen;
         }
@@ -482,27 +466,25 @@ CtResult Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key, co
         reply = nat_reply_tuple(tuple, spec.nat, nat.port);
     }
     entry.reply = reply;
+    state |= net::kCtStateNew;
 
     const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
     auto [it, ok] = tsh.conns.emplace(id, entry);
     (void)ok;
     it->second.wheel_bucket = tsh.wheel.enqueue(id, now);
-    san::audit_add(san_scope_, "ct.entry", id, OVSX_SITE);
-    if (it->second.nat) san::audit_add(san_scope_, "ct.nat", id, OVSX_SITE);
+    san::audit_add(san_scope_, profile_.audit_entry, id, OVSX_SITE);
+    if (it->second.nat) san::audit_add(san_scope_, profile_.audit_nat, id, OVSX_SITE);
     tsh.index.emplace(tuple, Ref{home, id});
     if (!(reply == tuple)) shards_[shard_of(reply)]->index.emplace(reply, Ref{home, id});
-    res.entry = &it->second;
     {
         sync::LockGuard zguard(zones_mu_);
         ++zone_counts_[zone];
     }
-    ctx.charge(costs_.kdp_flow_probe); // insert cost
+    ctx.charge(costs_.*profile_.probe_cost); // insert cost
 
     pkt.meta().ct_mark = it->second.mark;
     if (it->second.nat) apply_nat(pkt, it->second, /*is_reply=*/false, ctx);
-    pkt.meta().ct_state = res.state;
-    pkt.meta().ct_zone = zone;
-    return res;
+    return finish(state);
 }
 
 void Conntrack::apply_nat(net::Packet& pkt, const CtEntry& entry, bool is_reply,
@@ -569,7 +551,7 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
     for (std::uint32_t si = 0; si < nshards_; ++si) {
         Shard& s = *shards_[si];
         sync::LockGuard guard(s.mu);
-        OVSX_SAN_ACCESS_AT(&s, "kern.ct", true);
+        OVSX_SAN_ACCESS_AT(&s, profile_.table, true);
         const Wheel::ExpireStats st = s.wheel.expire(cutoff, [&](std::uint64_t id,
                                                                  std::uint64_t bucket) {
             auto it = s.conns.find(id);
@@ -591,8 +573,8 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
                 auto& count = zone_counts_[e.orig.zone];
                 if (count > 0) --count;
             }
-            san::audit_remove(san_scope_, "ct.entry", id, OVSX_SITE);
-            if (e.nat) san::audit_remove(san_scope_, "ct.nat", id, OVSX_SITE);
+            san::audit_remove(san_scope_, profile_.audit_entry, id, OVSX_SITE);
+            if (e.nat) san::audit_remove(san_scope_, profile_.audit_nat, id, OVSX_SITE);
             s.conns.erase(it);
             ++removed;
             return Wheel::Verdict::Expired;
@@ -601,7 +583,7 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
     }
     if (!cross.empty()) {
         AllShardsGuard all(*this);
-        for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), "kern.ct", true);
+        for (const auto& s : shards_) OVSX_SAN_ACCESS_AT(s.get(), profile_.table, true);
         for (const Ref& ref : cross) {
             Shard& osh = *shards_[ref.shard];
             auto it = osh.conns.find(ref.id);
@@ -650,7 +632,7 @@ const CtEntry* Conntrack::find(const CtTuple& tuple) const
     const std::uint32_t s = shard_of(tuple);
     {
         sync::LockGuard guard(shards_[s]->mu);
-        OVSX_SAN_ACCESS_AT(shards_[s].get(), "kern.ct", false);
+        OVSX_SAN_ACCESS_AT(shards_[s].get(), profile_.table, false);
         auto idx = shards_[s]->index.find(tuple);
         if (idx == shards_[s]->index.end()) return nullptr;
         if (idx->second.shard == s) {
@@ -681,8 +663,8 @@ void Conntrack::erase_entry_routed(const Ref& ref)
         auto& count = zone_counts_[it->second.orig.zone];
         if (count > 0) --count;
     }
-    san::audit_remove(san_scope_, "ct.entry", ref.id, OVSX_SITE);
-    if (it->second.nat) san::audit_remove(san_scope_, "ct.nat", ref.id, OVSX_SITE);
+    san::audit_remove(san_scope_, profile_.audit_entry, ref.id, OVSX_SITE);
+    if (it->second.nat) san::audit_remove(san_scope_, profile_.audit_nat, ref.id, OVSX_SITE);
     osh.conns.erase(it);
     // The wheel node (if any) stays behind as a stale tombstone; the
     // expiry liveness check drops it.
@@ -715,7 +697,7 @@ std::vector<CtSnapshotEntry> Conntrack::snapshot() const
     std::vector<CtSnapshotEntry> out;
     for (const auto& s : shards_) {
         sync::LockGuard guard(s->mu);
-        OVSX_SAN_ACCESS_AT(s.get(), "kern.ct", false);
+        OVSX_SAN_ACCESS_AT(s.get(), profile_.table, false);
         out.reserve(out.size() + s->conns.size());
         for (const auto& [id, e] : s->conns) {
             out.push_back(

@@ -1,13 +1,17 @@
-// Netfilter-style connection tracking for the simulated kernel.
+// Netfilter-style connection tracking: the one conntrack core shared by
+// every datapath.
 //
 // Tracks bidirectional 5-tuple+zone connections with NEW/ESTABLISHED
 // state, per-zone connection limits (the paper's §2.1.1 "per-zone
 // connection limiting" example feature), mark storage and SNAT/DNAT
-// with deterministic port-range allocation. The userspace datapath has
-// its own reimplementation (ovs/ct.h) — exactly the duplication the
-// paper's §6 "features must be reimplemented" lesson describes; the
-// differential harness diffs the two tables entry by entry, so the
-// semantics here must match ovs::UserspaceConntrack bit for bit.
+// with deterministic port-range allocation. The paper's §6 lesson is
+// that moving the datapath to userspace forced OVS to reimplement
+// kernel conntrack; here that reimplementation is the same algorithm
+// under a different CtProfile (ovs/ct.h selects the userspace one).
+// A profile carries only what really differs between the two: the
+// cost charged per lookup/insert and the observable names (locks, san
+// audits, reporters, coverage counters). The differential harness
+// still diffs the kernel and userspace tables entry by entry.
 #pragma once
 
 #include <atomic>
@@ -22,6 +26,7 @@
 #include "kern/odp.h" // CtSpec / NatSpec
 #include "net/flow.h"
 #include "net/packet.h"
+#include "obs/coverage.h"
 #include "san/lockset.h"
 #include "san/report.h"
 #include "sim/context.h"
@@ -125,17 +130,36 @@ struct CtEntry {
     std::uint64_t wheel_bucket = ~std::uint64_t{0};
 };
 
-// Result of passing a packet through conntrack: the CS_* bits for the
-// flow key plus the entry for mark access.
-struct CtResult {
-    std::uint8_t state = 0; // kCtState* bits
-    CtEntry* entry = nullptr;
+// What one datapath's conntrack differs in: the virtual cost charged
+// per lookup and again per insert, and the names under which the table
+// shows up in lock reports, san audits, appctl reporters and coverage.
+// Everything else (NAT checksum repair, the wheel, sharding) is the
+// same code and the same charges for both.
+struct CtProfile {
+    sim::Nanos sim::CostModel::*probe_cost;
+    const char* table;       // OVSX_SAN_ACCESS_AT name + memory/show, shards/show
+    const char* shard_lock;  // per-shard lock prefix ("<prefix>.<i>")
+    const char* zones_lock;
+    const char* audit_entry; // san audit categories
+    const char* audit_nat;
+    const char* cov_lookup;  // coverage counters
+    const char* cov_nat_exhausted;
 };
+
+// The kernel's conntrack: a probe costs one flow-table mask probe.
+inline constexpr CtProfile kKernelCtProfile{
+    &sim::CostModel::kdp_flow_probe, "kern.ct", "kern.ct.shard", "kern.ct.zones",
+    "ct.entry", "ct.nat", "ct.lookup", "ct.nat_port_exhausted"};
+
+// The userspace datapath's conntrack: a probe costs one EMC probe.
+inline constexpr CtProfile kUserspaceCtProfile{
+    &sim::CostModel::emc_hit, "ovs.uct", "ovs.uct.shard", "ovs.uct.zones",
+    "uct.entry", "uct.nat", "userspace_ct.lookup", "userspace_ct.nat_port_exhausted"};
 
 // Concurrency: sharded by a symmetric (direction-invariant) RSS-style
 // hash of the connection tuple. Each shard owns an index/conns pair and
 // a timer wheel under its own capability-annotated mutex (stable name
-// "kern.ct.shard.<i>"); a connection lives in the shard of its ORIG
+// "<profile.shard_lock>.<i>"); a connection lives in the shard of its ORIG
 // tuple, and because the shard hash is symmetric, the un-NATed reply
 // direction lands in the same shard — so non-NAT traffic runs entirely
 // under one shard lock. Anything whose NAT-translated reply tuple
@@ -144,37 +168,33 @@ struct CtResult {
 // deterministic slow path: every shard lock in ascending index order
 // (construction order makes the ids ascend too, so the ABBA DAG stays
 // acyclic), then the exact single-map algorithm against the union.
-// Zone counts/limits stay global under "kern.ct.zones", nested inside
-// the shard locks. End state is bit-identical at any shard count.
+// Zone counts/limits stay global under profile.zones_lock, nested
+// inside the shard locks. End state is bit-identical at any shard count.
 //
-// CtResult.entry and find() return interior pointers stable only until
-// the next mutating call; snapshot() copies for longer-lived use.
+// find() returns an interior pointer stable only until the next
+// mutating call; snapshot() copies for longer-lived use.
 class Conntrack {
 public:
     static constexpr std::uint32_t kMaxShards = 64;
 
     explicit Conntrack(const sim::CostModel& costs = sim::CostModel::baseline(),
+                       std::uint32_t shards = 1)
+        : Conntrack(kKernelCtProfile, costs, shards)
+    {
+    }
+    explicit Conntrack(const CtProfile& profile,
+                       const sim::CostModel& costs = sim::CostModel::baseline(),
                        std::uint32_t shards = 1);
     ~Conntrack();
 
     // Classifies `key` in spec.zone, creating an unconfirmed entry for
-    // NEW connections; spec.commit confirms it. When spec.nat is set and
-    // the connection commits, binds (and remembers) the NAT rewrite —
-    // reply-direction packets are de-NATed automatically. Updates
-    // pkt.meta() ct fields, rewrites headers for NAT, and returns the
-    // resulting state bits.
-    OVSX_HOT CtResult process(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
-                              sim::ExecContext& ctx, sim::Nanos now = 0);
-
-    // Zone/commit-only convenience form (no NAT, no mark).
-    CtResult process(net::Packet& pkt, const net::FlowKey& key, std::uint16_t zone, bool commit,
-                     sim::ExecContext& ctx, sim::Nanos now = 0)
-    {
-        CtSpec spec;
-        spec.zone = zone;
-        spec.commit = commit;
-        return process(pkt, key, spec, ctx, now);
-    }
+    // NEW connections; spec.commit confirms it (and applies spec.mark
+    // when spec.set_mark). When spec.nat is set and the connection
+    // commits, binds (and remembers) the NAT rewrite — reply-direction
+    // packets are de-NATed automatically. Updates pkt.meta() ct fields,
+    // rewrites headers for NAT, and returns the resulting state bits.
+    OVSX_HOT std::uint8_t process(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
+                                  sim::ExecContext& ctx, sim::Nanos now = 0);
 
     // Per-zone connection limit (0 = unlimited). Connections beyond the
     // limit are classified INVALID instead of NEW.
@@ -252,12 +272,12 @@ private:
         return shard_of_tuple(tuple, nshards_);
     }
 
-    // The single-map algorithm, routed through shard(s). `global` means
-    // every shard lock is held; otherwise only shard `home` is locked
-    // and local_path_ok has proven every touched tuple routes there.
-    CtResult process_routed(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
-                            sim::ExecContext& ctx, sim::Nanos now, bool global,
-                            std::uint32_t home) OVSX_NO_THREAD_SAFETY_ANALYSIS;
+    // The single-map algorithm, routed through shard(s). The caller
+    // holds either every shard lock or only shard `home`'s, in which
+    // case local_path_ok has proven every touched tuple routes there.
+    std::uint8_t process_routed(net::Packet& pkt, const net::FlowKey& key, const CtSpec& spec,
+                                sim::ExecContext& ctx, sim::Nanos now,
+                                std::uint32_t home) OVSX_NO_THREAD_SAFETY_ANALYSIS;
     // Decides, under shard `home`'s lock alone, whether this packet can
     // complete without touching any other shard. `lookup` is the tuple
     // the first index probe uses (the ICMP-cited inner tuple for ICMP
@@ -270,6 +290,11 @@ private:
                    sim::ExecContext& ctx);
 
     const sim::CostModel& costs_;
+    const CtProfile profile_;
+    // Interned once here: OVSX_COVERAGE_CTX caches one id per call site,
+    // which cannot serve two profiles' names.
+    const obs::CounterId cov_lookup_;
+    const obs::CounterId cov_nat_exhausted_;
     // The shard array itself is immutable while the datapath runs: it
     // is built at construction and replaced only by config-time
     // reshard() (single-threaded by contract). Everything inside a
@@ -277,7 +302,7 @@ private:
     using ShardArray = std::vector<std::unique_ptr<Shard>>;
     std::uint32_t nshards_ = 1;
     ShardArray shards_;
-    mutable sync::Mutex zones_mu_{"kern.ct.zones"};
+    mutable sync::Mutex zones_mu_;
     std::unordered_map<std::uint16_t, std::size_t> zone_counts_ OVSX_GUARDED_BY(zones_mu_);
     std::unordered_map<std::uint16_t, std::size_t> zone_limits_ OVSX_GUARDED_BY(zones_mu_);
     // Global, never reused: allocation order (and therefore snapshots)
@@ -290,11 +315,5 @@ private:
     std::uint64_t obs_token_ = 0;
     std::uint64_t shards_token_ = 0;
 };
-
-// The translated reply tuple for a connection whose original direction
-// is `tuple` under `nat` (with `port` already allocated; 0 = keep).
-// Shared by both conntrack implementations so their reply-index keys —
-// and therefore their port-allocation decisions — cannot drift.
-CtTuple nat_reply_tuple(const CtTuple& tuple, const NatSpec& nat, std::uint16_t port);
 
 } // namespace ovsx::kern

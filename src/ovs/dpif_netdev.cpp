@@ -888,7 +888,15 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
         case Type::Ct: {
             obs::PerfStageScope ct_scope(perf, obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
-            ct_.process(pkt, key, act.ct, ctx, now_);
+            const std::uint8_t s = ct_.process(pkt, key, act.ct, ctx, now_);
+            if (pkt.meta().trace_id) {
+                obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns,
+                           (s & net::kCtStateInvalid)       ? "invalid"
+                           : (s & net::kCtStateEstablished) ? "established"
+                           : (s & net::kCtStateRelated)     ? "related"
+                                                            : "new",
+                           act.ct.zone, s);
+            }
             break;
         }
         case Type::Recirc:

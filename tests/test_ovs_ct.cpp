@@ -1,4 +1,12 @@
+// Cross-profile conntrack tests. The kernel and the userspace datapath
+// run one conntrack core under two profiles (kern/conntrack.h); the
+// per-case semantics are covered profile by profile in
+// test_kern_conntrack.cpp. These tests run the same traffic through both
+// profiles in one process and pin that nothing but the profile differs.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "gen/ct_corpus.h"
 #include "net/builder.h"
@@ -10,207 +18,29 @@ namespace {
 
 using net::ipv4;
 
+net::Packet tcp(std::uint32_t src, std::uint32_t dst, std::uint16_t sport, std::uint16_t dport,
+                std::uint8_t flags = net::kTcpAck)
+{
+    net::TcpSpec spec;
+    spec.src_ip = src;
+    spec.dst_ip = dst;
+    spec.src_port = sport;
+    spec.dst_port = dport;
+    spec.flags = flags;
+    spec.payload_len = 16;
+    return net::build_tcp(spec);
+}
+
+std::vector<std::uint8_t> bytes(const net::Packet& p)
+{
+    return std::vector<std::uint8_t>(p.data(), p.data() + p.size());
+}
+
 class UserCtTest : public ::testing::Test {
 protected:
-    net::Packet tcp(std::uint32_t src, std::uint32_t dst, std::uint16_t sport,
-                    std::uint16_t dport, std::uint8_t flags = net::kTcpAck)
-    {
-        net::TcpSpec spec;
-        spec.src_ip = src;
-        spec.dst_ip = dst;
-        spec.src_port = sport;
-        spec.dst_port = dport;
-        spec.flags = flags;
-        spec.payload_len = 16;
-        return net::build_tcp(spec);
-    }
-
-    std::uint8_t run(net::Packet& pkt, const kern::CtSpec& spec)
-    {
-        const auto key = net::parse_flow(pkt);
-        return ct.process(pkt, key, spec, ctx);
-    }
-
     UserspaceConntrack ct;
     sim::ExecContext ctx{"pmd", sim::CpuClass::User};
 };
-
-TEST_F(UserCtTest, BasicStateMachine)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    EXPECT_TRUE(run(p1, commit) & net::kCtStateNew);
-
-    kern::CtSpec check{.zone = 0, .commit = false};
-    auto p2 = tcp(ipv4(2, 2, 2, 2), ipv4(1, 1, 1, 1), 80, 1000, net::kTcpSyn | net::kTcpAck);
-    const auto s2 = run(p2, check);
-    EXPECT_TRUE(s2 & net::kCtStateEstablished);
-    EXPECT_TRUE(s2 & net::kCtStateReply);
-    EXPECT_EQ(ct.size(), 1u);
-}
-
-TEST_F(UserCtTest, SnatRewritesAndUnNats)
-{
-    // SNAT 1.1.1.1 -> 5.5.5.5 on commit.
-    kern::CtSpec nat;
-    nat.zone = 1;
-    nat.commit = true;
-    nat.nat = kern::NatSpec::src(ipv4(5, 5, 5, 5));
-
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    run(p1, nat);
-    // Outbound packet leaves with the translated source.
-    EXPECT_EQ(net::parse_flow(p1).nw_src, ipv4(5, 5, 5, 5));
-    EXPECT_TRUE(net::verify_l4_csum(p1, 14));
-
-    // Reply arrives addressed to the NAT IP; conntrack restores it.
-    kern::CtSpec check{.zone = 1, .commit = false};
-    auto p2 = tcp(ipv4(2, 2, 2, 2), ipv4(5, 5, 5, 5), 80, 1000, net::kTcpSyn | net::kTcpAck);
-    const auto s = run(p2, check);
-    EXPECT_TRUE(s & net::kCtStateReply);
-    EXPECT_EQ(net::parse_flow(p2).nw_dst, ipv4(1, 1, 1, 1)); // de-NATed
-    EXPECT_TRUE(net::verify_l4_csum(p2, 14));
-}
-
-TEST_F(UserCtTest, DnatRewritesDestination)
-{
-    kern::CtSpec nat;
-    nat.zone = 2;
-    nat.commit = true;
-    nat.nat = kern::NatSpec::dst(ipv4(10, 9, 9, 9), 8080);
-
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    run(p1, nat);
-    const auto k1 = net::parse_flow(p1);
-    EXPECT_EQ(k1.nw_dst, ipv4(10, 9, 9, 9));
-    EXPECT_EQ(k1.tp_dst, 8080);
-
-    // Reply from the real backend gets mapped back to the VIP.
-    kern::CtSpec check{.zone = 2, .commit = false};
-    auto p2 = tcp(ipv4(10, 9, 9, 9), ipv4(1, 1, 1, 1), 8080, 1000, net::kTcpAck);
-    const auto s = run(p2, check);
-    EXPECT_TRUE(s & net::kCtStateReply);
-    const auto k2 = net::parse_flow(p2);
-    EXPECT_EQ(k2.nw_src, ipv4(2, 2, 2, 2));
-    EXPECT_EQ(k2.tp_src, 80);
-}
-
-TEST_F(UserCtTest, ZoneLimits)
-{
-    ct.set_zone_limit(9, 1);
-    kern::CtSpec commit{.zone = 9, .commit = true};
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    EXPECT_FALSE(run(p1, commit) & net::kCtStateInvalid);
-    auto p2 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1001, 80, net::kTcpSyn);
-    EXPECT_TRUE(run(p2, commit) & net::kCtStateInvalid);
-}
-
-TEST_F(UserCtTest, MarkPersists)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    run(p1, commit);
-    const auto tuple = CtTuple::from_key(net::parse_flow(p1), 0);
-    EXPECT_TRUE(ct.set_mark(tuple, 77));
-
-    kern::CtSpec check{.zone = 0, .commit = false};
-    auto p2 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80);
-    run(p2, check);
-    EXPECT_EQ(p2.meta().ct_mark, 77u);
-}
-
-TEST_F(UserCtTest, ExpiryAndFlush)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    for (std::uint16_t i = 0; i < 5; ++i) {
-        auto p = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), static_cast<std::uint16_t>(1000 + i),
-                     80, net::kTcpSyn);
-        const auto key = net::parse_flow(p);
-        ct.process(p, key, commit, ctx, /*now=*/i * sim::kSecond);
-    }
-    EXPECT_EQ(ct.size(), 5u);
-    EXPECT_EQ(ct.expire_idle(2 * sim::kSecond), 2u);
-    EXPECT_EQ(ct.size(), 3u);
-    ct.flush();
-    EXPECT_EQ(ct.size(), 0u);
-    EXPECT_EQ(ct.zone_count(0), 0u);
-}
-
-TEST_F(UserCtTest, TcpFlagsAccumulate)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    run(p1, commit);
-    auto p2 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpFin);
-    run(p2, kern::CtSpec{.zone = 0, .commit = false});
-    const auto* e = ct.find(CtTuple::from_key(net::parse_flow(p1), 0));
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->tcp_flags_seen & net::kTcpSyn);
-    EXPECT_TRUE(e->tcp_flags_seen & net::kTcpFin);
-}
-
-TEST_F(UserCtTest, RstMidHandshakeTearsDownEntry)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto seq = gen::ct_rst_mid_handshake();
-    EXPECT_TRUE(run(seq[0], commit) & net::kCtStateNew);
-    EXPECT_EQ(ct.size(), 1u);
-
-    const auto s_rst = run(seq[1], kern::CtSpec{.zone = 0, .commit = false});
-    EXPECT_TRUE(s_rst & net::kCtStateReply);
-    EXPECT_EQ(ct.size(), 0u);
-
-    const auto s_syn = run(seq[2], commit);
-    EXPECT_TRUE(s_syn & net::kCtStateNew);
-    EXPECT_FALSE(s_syn & net::kCtStateEstablished);
-    EXPECT_EQ(ct.size(), 1u);
-}
-
-TEST_F(UserCtTest, RstOnUnknownTupleIsInvalid)
-{
-    auto p = tcp(ipv4(9, 9, 9, 9), ipv4(8, 8, 8, 8), 5555, 80, net::kTcpRst);
-    EXPECT_TRUE(run(p, kern::CtSpec{.zone = 0, .commit = false}) & net::kCtStateInvalid);
-    EXPECT_EQ(ct.size(), 0u);
-}
-
-TEST_F(UserCtTest, IcmpErrorRelatedToTrackedConnection)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto seq = gen::ct_icmp_related();
-    run(seq[0], commit);
-
-    const auto s = run(seq[1], kern::CtSpec{.zone = 0, .commit = false});
-    EXPECT_TRUE(s & net::kCtStateRelated);
-    EXPECT_FALSE(s & net::kCtStateNew);
-    EXPECT_FALSE(s & net::kCtStateInvalid);
-
-    const gen::CtCorpusTuple t;
-    const auto* e = ct.find(CtTuple{t.client_ip, t.server_ip, t.client_port, t.server_port, 17, 0});
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->packets, 1u); // the error did not count as conn traffic
-}
-
-TEST_F(UserCtTest, IcmpErrorCitingUnknownTupleIsInvalid)
-{
-    auto p = gen::ct_icmp_unrelated();
-    EXPECT_TRUE(run(p, kern::CtSpec{.zone = 0, .commit = false}) & net::kCtStateInvalid);
-}
-
-TEST_F(UserCtTest, ExpiryUnderVirtualTime)
-{
-    kern::CtSpec commit{.zone = 0, .commit = true};
-    auto p1 = tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80, net::kTcpSyn);
-    ct.process(p1, net::parse_flow(p1), commit, ctx, 1'000'000);
-    auto p2 = tcp(ipv4(3, 3, 3, 3), ipv4(4, 4, 4, 4), 1001, 80, net::kTcpSyn);
-    ct.process(p2, net::parse_flow(p2), commit, ctx, 10'000'000);
-    EXPECT_EQ(ct.size(), 2u);
-
-    EXPECT_EQ(ct.expire_idle(5'000'000), 1u);
-    EXPECT_EQ(ct.size(), 1u);
-    EXPECT_EQ(ct.zone_count(0), 1u);
-    EXPECT_EQ(ct.expire_idle(20'000'000), 1u);
-    EXPECT_TRUE(ct.snapshot().empty());
-}
 
 // The userspace and kernel trackers must leave identical state behind for
 // the same packet sequence — the invariant the differential harness's
@@ -230,7 +60,7 @@ TEST_F(UserCtTest, SnapshotMatchesKernelTrackerOnCorpusSequences)
         net::Packet copy = p;
         const auto key = net::parse_flow(p);
         ct.process(p, key, commit, ctx);
-        kct.process(copy, net::parse_flow(copy), 0, true, ctx);
+        kct.process(copy, net::parse_flow(copy), commit, ctx);
     }
     EXPECT_EQ(ct.snapshot(), kct.snapshot());
     EXPECT_FALSE(ct.snapshot().empty());
@@ -253,10 +83,9 @@ TEST_F(UserCtTest, NatSnapshotAndBytesMatchKernelTracker)
     auto run_both = [&](net::Packet& p, const kern::CtSpec& spec) {
         net::Packet copy = p;
         const auto s_u = ct.process(p, net::parse_flow(p), spec, ctx);
-        const auto r_k = kct.process(copy, net::parse_flow(copy), spec, ctx);
-        EXPECT_EQ(s_u, r_k.state);
-        EXPECT_EQ(std::vector<std::uint8_t>(p.data(), p.data() + p.size()),
-                  std::vector<std::uint8_t>(copy.data(), copy.data() + copy.size()));
+        const auto s_k = kct.process(copy, net::parse_flow(copy), spec, ctx);
+        EXPECT_EQ(s_u, s_k);
+        EXPECT_EQ(bytes(p), bytes(copy));
         return s_u;
     };
 
@@ -288,6 +117,73 @@ TEST_F(UserCtTest, NatSnapshotAndBytesMatchKernelTracker)
     EXPECT_EQ(snap_u[0].mark, 9u);
     EXPECT_EQ(snap_u[0].reply.dport, 40000);
     EXPECT_EQ(snap_u[1].reply.dport, 40001);
+}
+
+// The profile split, pinned. The ct corpus plus a SNAT port-range
+// exhaustion runs through both profiles in one process: state, bytes
+// and state bits are identical; the charged virtual time differs by
+// exactly the per-probe constant for every lookup and insert; and each
+// tracker bumps only its own coverage names. The last check fails if
+// the core caches one counter id per call site (OVSX_COVERAGE_CTX),
+// because whichever profile runs first would claim it for both.
+TEST(CtProfileSplit, ProfilesDifferOnlyInProbeCostAndNames)
+{
+    const sim::CostModel& costs = sim::CostModel::baseline();
+    ASSERT_NE(costs.kdp_flow_probe, costs.emc_hit);
+    kern::Conntrack kct{kern::kKernelCtProfile, costs};
+    UserspaceConntrack uct{costs};
+    sim::ExecContext kctx{"softirq", sim::CpuClass::Softirq};
+    sim::ExecContext uctx{"pmd", sim::CpuClass::User};
+
+    kern::CtSpec commit;
+    commit.commit = true;
+    kern::CtSpec snat = commit;
+    snat.zone = 3;
+    snat.nat = kern::NatSpec::src(ipv4(5, 5, 5, 5), 40000, 40001);
+    kern::CtSpec reply;
+    reply.zone = 3;
+    std::vector<std::pair<net::Packet, kern::CtSpec>> seq;
+    for (auto& p : gen::ct_handshake()) seq.emplace_back(std::move(p), commit);
+    for (auto& p : gen::ct_rst_mid_handshake()) seq.emplace_back(std::move(p), commit);
+    for (auto& p : gen::ct_icmp_related()) seq.emplace_back(std::move(p), commit);
+    seq.emplace_back(gen::ct_icmp_unrelated(), commit);
+    for (std::uint16_t sp : {1000, 1001, 1002}) {
+        seq.emplace_back(tcp(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), sp, 80, net::kTcpSyn), snat);
+    }
+    seq.emplace_back(tcp(ipv4(2, 2, 2, 2), ipv4(5, 5, 5, 5), 80, 40001, net::kTcpAck), reply);
+
+    std::uint64_t lookups = 0, inserts = 0;
+    for (auto& [p, spec] : seq) {
+        net::Packet copy = p;
+        const net::FlowKey key = net::parse_flow(p);
+        const bool known = kct.find(kern::CtTuple::from_key(key, spec.zone)) != nullptr;
+        const std::uint8_t s_k = kct.process(p, key, spec, kctx);
+        const std::uint8_t s_u = uct.process(copy, net::parse_flow(copy), spec, uctx);
+        EXPECT_EQ(s_k, s_u);
+        EXPECT_EQ(bytes(p), bytes(copy));
+        EXPECT_EQ(p.meta().ct_state, copy.meta().ct_state);
+        EXPECT_EQ(p.meta().ct_mark, copy.meta().ct_mark);
+        ++lookups;
+        if (!known && (s_k & net::kCtStateNew) && !(s_k & net::kCtStateInvalid)) ++inserts;
+    }
+    const auto snap = kct.snapshot();
+    EXPECT_EQ(snap, uct.snapshot());
+    EXPECT_FALSE(snap.empty());
+    EXPECT_EQ(kct.nat_binding_count(), 2u);
+    EXPECT_EQ(uct.nat_binding_count(), 2u);
+    EXPECT_GT(inserts, 0u);
+
+    EXPECT_EQ(kctx.total_busy() - uctx.total_busy(),
+              static_cast<sim::Nanos>(lookups + inserts) * (costs.kdp_flow_probe - costs.emc_hit));
+
+    EXPECT_EQ(kctx.counter("ct.lookup"), lookups);
+    EXPECT_EQ(kctx.counter("ct.nat_port_exhausted"), 1u);
+    EXPECT_EQ(kctx.counter("userspace_ct.lookup"), 0u);
+    EXPECT_EQ(kctx.counter("userspace_ct.nat_port_exhausted"), 0u);
+    EXPECT_EQ(uctx.counter("userspace_ct.lookup"), lookups);
+    EXPECT_EQ(uctx.counter("userspace_ct.nat_port_exhausted"), 1u);
+    EXPECT_EQ(uctx.counter("ct.lookup"), 0u);
+    EXPECT_EQ(uctx.counter("ct.nat_port_exhausted"), 0u);
 }
 
 } // namespace

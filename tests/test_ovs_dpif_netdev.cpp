@@ -157,6 +157,42 @@ TEST_F(DpifNetdevTest, RecirculationThroughCt)
     EXPECT_EQ(out1.size(), 2u);
 }
 
+// The userspace datapath labels its ct trace hop with the connection
+// state; the label comes from the state bits conntrack returns.
+TEST_F(DpifNetdevTest, CtTraceHopCarriesStateLabel)
+{
+    kern::CtSpec ct;
+    ct.zone = 3;
+    ct.commit = true;
+    dpif->flow_put(key_on_port(p0), port_mask(),
+                   {kern::OdpAction::conntrack(ct), kern::OdpAction::output(p1)});
+    obs::tracer().enable();
+    obs::tracer().set_domain("netdev");
+    const auto ct_hop = [&] {
+        net::Packet pkt = udp64();
+        const std::uint32_t id = obs::tracer().next_packet_id();
+        pkt.meta().trace_id = id;
+        nic0->rx_from_wire(std::move(pkt));
+        dpif->pmd_poll_once(pmd);
+        for (const auto& ev : obs::tracer().events_for(id)) {
+            if (ev.hop == obs::Hop::Ct) return ev;
+        }
+        return obs::TraceEvent{};
+    };
+
+    const obs::TraceEvent first = ct_hop();
+    EXPECT_EQ(first.hop, obs::Hop::Ct);
+    EXPECT_STREQ(first.verdict, "new");
+    EXPECT_EQ(first.a, 3u);
+    EXPECT_EQ(first.b, net::kCtStateTracked | net::kCtStateNew);
+
+    const obs::TraceEvent second = ct_hop();
+    EXPECT_STREQ(second.verdict, "established");
+    EXPECT_EQ(second.b, net::kCtStateTracked | net::kCtStateEstablished);
+    obs::tracer().disable();
+    EXPECT_EQ(out1.size(), 2u);
+}
+
 TEST_F(DpifNetdevTest, MeterDropsExcess)
 {
     dpif->meters().set(1, {.rate_kbps = 0, .rate_pps = 1000, .burst = 2});

@@ -79,8 +79,10 @@ TEST_P(CtProtoSweep, FullLifecyclePerProtocol)
     key.tp_dst = 2000;
     net::Packet pkt(64);
 
-    auto r1 = ct.process(pkt, key, 0, /*commit=*/true, ctx, 0);
-    EXPECT_TRUE(r1.state & net::kCtStateNew) << int(proto);
+    kern::CtSpec commit;
+    commit.commit = true;
+    const auto r1 = ct.process(pkt, key, commit, ctx, 0);
+    EXPECT_TRUE(r1 & net::kCtStateNew) << int(proto);
 
     net::FlowKey reply;
     reply.nw_src = key.nw_dst;
@@ -88,9 +90,9 @@ TEST_P(CtProtoSweep, FullLifecyclePerProtocol)
     reply.nw_proto = proto;
     reply.tp_src = key.tp_dst;
     reply.tp_dst = key.tp_src;
-    auto r2 = ct.process(pkt, reply, 0, false, ctx, 1);
-    EXPECT_TRUE(r2.state & net::kCtStateReply) << int(proto);
-    EXPECT_TRUE(r2.state & net::kCtStateEstablished) << int(proto);
+    const auto r2 = ct.process(pkt, reply, kern::CtSpec{}, ctx, 1);
+    EXPECT_TRUE(r2 & net::kCtStateReply) << int(proto);
+    EXPECT_TRUE(r2 & net::kCtStateEstablished) << int(proto);
     EXPECT_EQ(ct.size(), 1u);
     EXPECT_EQ(ct.expire_idle(2), 1u);
 }

@@ -207,9 +207,8 @@ void rule_raw_mutex(const SourceFile& f, const std::string& code, std::vector<Fi
 // must carry OVSX_GUARDED_BY (or a reviewed suppression explaining why
 // it is immutable after setup).
 const char* const kSharedTableHeaders[] = {
-    "src/ovs/megaflow.h", "src/ovs/emc.h",           "src/ovs/ct.h",
-    "src/kern/conntrack.h", "src/ebpf/map.h",        "src/ovs/netlink_cache.h",
-    "src/ovs/dpif_ebpf.h",
+    "src/ovs/megaflow.h",      "src/ovs/emc.h",       "src/kern/conntrack.h", "src/ebpf/map.h",
+    "src/ovs/netlink_cache.h", "src/ovs/dpif_ebpf.h",
 };
 
 const char* const kContainerTokens[] = {
