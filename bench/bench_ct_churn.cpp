@@ -14,8 +14,11 @@
 //     magnitude under the live-connection count (no O(total) scans on
 //     the packet path or the tick path);
 //   - the ct.shard.* occupancy counters flowed.
-// Per-commit latency lands in the latency/show histograms under
-// Hop::Ct, so p50/p99 print from the same registry appctl renders.
+// Per-commit latency is virtual time — the ExecContext busy-ns one
+// ct.process charges, the clock every other Hop::Ct sample is on — and
+// lands in the latency/show histograms under Hop::Ct, so p50/p99 print
+// from the same registry appctl renders and repeat exactly run to run.
+// Only the churn rate line is wall time.
 //
 // Usage: bench_ct_churn [shards] [target_conns]
 #include <algorithm>
@@ -84,12 +87,9 @@ RunStats run_churn(const char* domain, kern::Conntrack& ct, std::size_t target)
         net::Packet pkt = make_conn_packet(i);
         const net::FlowKey key = net::parse_flow(pkt);
 
-        const auto t0 = std::chrono::steady_clock::now();
+        const sim::Nanos busy_before = ctx.total_busy();
         ct.process(pkt, key, cspec, ctx, now);
-        const auto t1 = std::chrono::steady_clock::now();
-        obs::latency_record(
-            domain, obs::Hop::Ct,
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+        obs::latency_record(domain, obs::Hop::Ct, ctx.total_busy() - busy_before);
 
         ct.tick(now); // quantum-gated: occupancy gauges + due-bucket expiry
         st.max_visited_per_tick = std::max(st.max_visited_per_tick, ct.last_expire_visited());
@@ -115,7 +115,7 @@ void print_percentiles(const char* domain)
     }
     const obs::Value* p50 = ct->find("p50");
     const obs::Value* p99 = ct->find("p99");
-    std::printf("  commit latency   p50 %lld ns, p99 %lld ns\n",
+    std::printf("  commit latency   p50 %lld vns, p99 %lld vns\n",
                 p50 ? static_cast<long long>(p50->as_int()) : -1,
                 p99 ? static_cast<long long>(p99->as_int()) : -1);
 }

@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "kern/int_sink.h"
 #include "kern/kernel.h"
 #include "kern/nic.h"
 #include "kern/ovs_kmod.h"
@@ -479,21 +480,7 @@ struct Fabric::Impl {
     {
         auto res = net::decapsulate(pkt, net::TunnelType::Geneve);
         if (!res) return false; // non-tunnel noise never reaches the datapath
-        if (cfg.int_enabled && !res->geneve_opts.empty()) {
-            bool truncated = false;
-            const auto hops = net::int_parse_options(
-                std::span<const std::uint8_t>(res->geneve_opts), &truncated);
-            if (!hops.empty() || truncated) {
-                std::vector<obs::IntHopSample> samples;
-                samples.reserve(hops.size());
-                for (const auto& h : hops) {
-                    samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier, h.occupancy,
-                                       static_cast<std::int64_t>(h.latency_ticks) *
-                                           net::kIntTickNs});
-                }
-                obs::int_export(res->key.ip_src, res->key.ip_dst, samples, truncated);
-            }
-        }
+        if (cfg.int_enabled) kern::int_sink(*res);
         return true;
     }
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 
+#include "kern/int_sink.h"
 #include "kern/kernel.h"
 #include "kern/stack.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
-#include "obs/int_export.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
 #include "san/audit.h"
@@ -321,22 +321,7 @@ void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, const net::FlowKey& key,
 {
     auto res = net::decapsulate_auto(pkt);
     if (!res) return;
-    if (!res->geneve_opts.empty()) {
-        // Last hop: pop the INT option (decap already stripped it from
-        // the frame) and export the hop records.
-        bool truncated = false;
-        const auto hops = net::int_parse_options(res->geneve_opts, &truncated);
-        if (!hops.empty() || truncated) {
-            std::vector<obs::IntHopSample> samples;
-            samples.reserve(hops.size());
-            for (const auto& h : hops) {
-                samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier, h.occupancy,
-                                   static_cast<std::int64_t>(h.latency_ticks) *
-                                       net::kIntTickNs});
-            }
-            obs::int_export(res->key.ip_src, res->key.ip_dst, samples, truncated);
-        }
-    }
+    int_sink(*res);
     // Find the vport for this tunnel type.
     for (const auto& [no, vport] : ports_) {
         if (vport.tunnel && *vport.tunnel == res->type) {

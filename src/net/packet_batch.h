@@ -2,19 +2,14 @@
 //
 // A PacketBatch holds up to kCapacity packets in arrival order together
 // with the per-packet classification sideband (flow key + hash) the
-// vector spine computes once per burst. Dropped or punted packets are
-// masked out *sparsely* — slots are never compacted, so the index of a
-// packet never changes while it sits in a batch and downstream stages
+// vector spine computes once per burst. A packet taken out of its slot
+// is masked out *sparsely* — slots are never compacted, so the index of
+// a packet never changes while it sits in a batch and downstream stages
 // observe exactly the arrival order (the reorder-freedom guarantee the
 // batch-vs-scalar differential relies on).
-//
-// kill(i) destroys the slot's packet immediately (retiring its san skb
-// record) rather than waiting for batch recycling, so ledger leak
-// checks stay precise across reuse.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <utility>
 
@@ -31,16 +26,11 @@ public:
     PacketBatch(const PacketBatch&) = delete;
     PacketBatch& operator=(const PacketBatch&) = delete;
 
-    // Slots ever filled this cycle (dead ones included — indices are
-    // stable). alive_count() is the packets still in flight.
+    // Slots ever filled this cycle (taken ones included — indices are
+    // stable).
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
     bool full() const { return count_ == kCapacity; }
-    std::size_t alive_count() const
-    {
-        return static_cast<std::size_t>(std::popcount(alive_));
-    }
-    std::uint32_t alive_mask() const { return alive_; }
 
     // Appends a packet; returns false (packet untouched) when full.
     bool add(Packet&& pkt)
@@ -61,17 +51,8 @@ public:
     std::uint64_t& hash(std::size_t i) { return hashes_[i]; }
     std::uint64_t hash(std::size_t i) const { return hashes_[i]; }
 
-    // Masks the slot out and destroys its packet now (drop semantics:
-    // the san ledger sees the retire at the drop point, not at recycle).
-    void kill(std::size_t i)
-    {
-        if (!alive(i)) return;
-        slots_[i] = Packet{};
-        alive_ &= ~bit(i);
-    }
-
-    // Moves the packet out (per-packet fallback: recirc, upcall, ct)
-    // and masks the slot; the batch keeps no claim on it.
+    // Moves the packet out (in-order resolution) and masks the slot;
+    // the batch keeps no claim on it.
     Packet take(std::size_t i)
     {
         Packet p = std::move(slots_[i]);
@@ -87,14 +68,6 @@ public:
         }
         alive_ = 0;
         count_ = 0;
-    }
-
-    // Visits live slots in arrival order: fn(index, Packet&).
-    template <typename Fn> void for_each_alive(Fn&& fn)
-    {
-        for (std::size_t i = 0; i < count_; ++i) {
-            if (alive_ & bit(i)) fn(i, slots_[i]);
-        }
     }
 
 private:

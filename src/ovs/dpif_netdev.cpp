@@ -4,16 +4,14 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 
+#include "kern/int_sink.h"
 #include "kern/kernel.h"
 #include "net/hash.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
-#include "obs/int_export.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
 #include "ovs/appctl_render.h"
@@ -25,9 +23,6 @@ namespace ovsx::ovs {
 DpifNetdev::DpifNetdev(kern::Kernel& host, const sim::CostModel& costs)
     : host_(host), costs_(costs), ct_(costs), netlink_(host)
 {
-    if (const char* env = std::getenv("OVSX_SCALAR_SPINE")) {
-        scalar_spine_ = env[0] != '\0' && env[0] != '0';
-    }
 }
 
 std::uint32_t DpifNetdev::add_port(std::unique_ptr<Netdev> netdev)
@@ -358,6 +353,19 @@ void DpifNetdev::pmd_assign(int pmd, std::uint32_t port_no, std::uint32_t queue)
     pmds_[static_cast<std::size_t>(pmd)].rxqs.push_back(Rxq{port_no, queue, 0});
 }
 
+std::uint32_t DpifNetdev::poll_rxq(std::uint32_t port_no, Netdev& netdev, std::uint32_t queue,
+                                   sim::ExecContext& ctx)
+{
+    std::vector<net::Packet> batch;
+    std::uint32_t n;
+    {
+        obs::PerfStageScope rx(ctx.perf(), obs::PerfStage::RxPoll);
+        n = netdev.rx_burst(queue, batch, Netdev::kBatchSize, ctx);
+    }
+    if (n > 0) process_batch(port_no, std::move(batch), ctx);
+    return n;
+}
+
 std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
 {
     Pmd& pmd = pmds_[static_cast<std::size_t>(pmd_index)];
@@ -373,16 +381,7 @@ std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
         auto it = ports_.find(rxq.port_no);
         if (it == ports_.end() || !it->second.netdev) continue;
         const sim::Nanos busy_before = pmd.ctx.total_busy();
-        std::vector<net::Packet> batch;
-        std::uint32_t n;
-        {
-            obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
-            n = it->second.netdev->rx_burst(rxq.queue, batch, Netdev::kBatchSize, pmd.ctx);
-        }
-        if (n > 0) {
-            process_batch(rxq.port_no, std::move(batch), pmd.ctx);
-            processed += n;
-        }
+        processed += poll_rxq(rxq.port_no, *it->second.netdev, rxq.queue, pmd.ctx);
         // Everything the PMD spent on this queue's burst (poll included)
         // is the §4.2 "processing cycles" signal the auto-LB consumes.
         rxq.busy_ns += static_cast<std::uint64_t>(pmd.ctx.total_busy() - busy_before);
@@ -400,134 +399,87 @@ std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
     for (auto& [port_no, port] : ports_) {
         if (!port.netdev) continue;
         for (std::uint32_t q = 0; q < port.netdev->n_rxq(); ++q) {
-            std::vector<net::Packet> batch;
-            std::uint32_t n;
-            {
-                obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
-                n = port.netdev->rx_burst(q, batch, Netdev::kBatchSize, ctx);
-            }
-            if (n == 0) continue;
-            process_batch(port_no, std::move(batch), ctx);
-            processed += n;
+            processed += poll_rxq(port_no, *port.netdev, q, ctx);
         }
     }
     if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
     return processed;
 }
 
-bool DpifNetdev::try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx)
+void DpifNetdev::admit(net::Packet& pkt, std::uint32_t in_port, sim::ExecContext& ctx)
 {
+    san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
+    pkt.meta().in_port = in_port;
     // Userspace tunnel termination: if the frame targets one of our
     // tunnel endpoints, strip the outer headers and re-badge the packet
     // as arriving on the tunnel vport.
     const auto* ip = pkt.try_header_at<net::Ipv4Header>(sizeof(net::EthernetHeader));
-    if (!ip || ip->version() != 4) return false;
+    if (!ip || ip->version() != 4) return;
     for (auto& [no, port] : ports_) {
         if (!port.tunnel || port.tunnel_local_ip != ip->dst()) continue;
         auto res = net::decapsulate(pkt, *port.tunnel);
         if (!res) continue;
         ctx.charge(costs_.parse_extract); // outer header parse
-        if (!res->geneve_opts.empty()) {
-            // Last hop: pop the INT option (decap already stripped it
-            // from the frame) and export the hop records.
-            bool truncated = false;
-            const auto hops = net::int_parse_options(res->geneve_opts, &truncated);
-            if (!hops.empty() || truncated) {
-                std::vector<obs::IntHopSample> samples;
-                samples.reserve(hops.size());
-                for (const auto& h : hops) {
-                    samples.push_back({h.switch_id, h.ingress_tier, h.egress_tier,
-                                       h.occupancy,
-                                       static_cast<std::int64_t>(h.latency_ticks) *
-                                           net::kIntTickNs});
-                }
-                obs::int_export(res->key.ip_src, res->key.ip_dst, samples, truncated);
-            }
-        }
+        kern::int_sink(*res);
         pkt.meta().tunnel = res->key;
         pkt.meta().in_port = no;
-        return true;
+        return;
     }
-    return false;
 }
 
 void DpifNetdev::process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
                                sim::ExecContext& ctx)
 {
-    const bool outer = !batching_outputs_;
-    if (outer) batching_outputs_ = true;
+    // No upcall handler or action polls a port, so the scratch batch
+    // and the output batches belong to exactly one burst at a time.
+    batching_outputs_ = true;
     if (scalar_spine_) {
         last_batch_occupancy_ = 1;
         for (auto& pkt : batch) {
-            san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
-            pkt.meta().in_port = in_port;
-            try_tunnel_decap(pkt, ctx);
+            admit(pkt, in_port, ctx);
             pipeline(std::move(pkt), ctx, 0);
         }
     } else {
-        // Reuse one scratch batch per datapath: constructing a
-        // PacketBatch zero-fills its key/hash sideband, which dominated
-        // single-packet bursts. Slots are written before they are read,
-        // so carry-over between cycles is dead data. A (rare) reentrant
-        // call falls back to a local batch.
-        std::optional<net::PacketBatch> local;
-        net::PacketBatch* vecp;
-        const bool use_scratch = !batch_scratch_busy_;
-        if (use_scratch) {
-            batch_scratch_busy_ = true;
-            vecp = &batch_scratch_;
-        } else {
-            vecp = &local.emplace();
-        }
-        net::PacketBatch& vec = *vecp;
+        // One scratch batch per datapath: constructing a PacketBatch
+        // zero-fills its key/hash sideband, which dominated single-packet
+        // bursts. Slots are written before they are read, so carry-over
+        // between cycles is dead data.
         for (auto& pkt : batch) {
-            vec.add(std::move(pkt));
-            if (vec.full()) {
-                process_vector(in_port, vec, ctx);
-                vec.clear();
-            }
+            batch_scratch_.add(std::move(pkt));
+            if (batch_scratch_.full()) process_vector(in_port, ctx);
         }
-        if (!vec.empty()) {
-            process_vector(in_port, vec, ctx);
-            vec.clear();
-        }
-        if (use_scratch) batch_scratch_busy_ = false;
+        if (!batch_scratch_.empty()) process_vector(in_port, ctx);
     }
-    if (outer) {
-        batching_outputs_ = false;
-        flush_output_batches(ctx);
-    }
+    batching_outputs_ = false;
+    flush_output_batches(ctx);
 }
 
-// The VPP-style vector spine. Phase A runs the whole burst through admit
-// + key extraction with the next packet's EMC bucket prefetched while the
-// current one parses, then peeks the EMC (stats-free) to collect the
-// probable-miss set and classifies it against the megaflow cache in one
-// subtable-major pass. Phase B resolves every packet strictly in arrival
-// order, replaying exactly the scalar pipeline's charges, counters,
-// traces, EMC insert sampling, and action execution — the batch lookup
-// result is only a hint, dropped whenever the real in-order EMC lookup
-// hits anyway or a mid-burst mutation (upcall flow_put, flow removal)
-// moved the megaflow epoch. Recirculation, upcalls, and ct fall back to
-// the per-packet pipeline, so side-effect order is identical to scalar
-// by construction.
-void DpifNetdev::process_vector(std::uint32_t in_port, net::PacketBatch& vec,
-                                sim::ExecContext& ctx)
+// The VPP-style vector spine over batch_scratch_. Phase A runs the whole
+// burst through admit + key extraction with the next packet's EMC bucket
+// prefetched while the current one parses, then peeks the EMC
+// (stats-free) to collect the probable-miss set and classifies it
+// against the megaflow cache in one subtable-major pass. Phase B hands
+// every packet, strictly in arrival order, to the same resolve() the
+// scalar pipeline uses, so charges, counters, traces, EMC insert
+// sampling and side-effect order are identical to scalar by
+// construction. The batch lookup result is only a hint: resolve() drops
+// it whenever the real in-order EMC lookup hits anyway, and Phase B
+// withholds it once a mid-burst mutation (upcall flow_put, flow
+// removal) moved the megaflow epoch.
+void DpifNetdev::process_vector(std::uint32_t in_port, sim::ExecContext& ctx)
 {
     constexpr std::size_t kCap = net::PacketBatch::kCapacity;
+    net::PacketBatch& vec = batch_scratch_;
     const std::size_t n = vec.size();
-    obs::PmdPerf* perf = ctx.perf();
     OVSX_COVERAGE_CTX(ctx, "batch.flush");
     OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", n);
     last_batch_occupancy_ = static_cast<std::uint16_t>(n);
 
     // ---- Phase A: admit + extract + prefetch -------------------------
-    obs::PerfStageScope parse_scope(perf, obs::PerfStage::EmcLookup);
+    obs::PerfStageScope parse_scope(ctx.perf(), obs::PerfStage::EmcLookup);
     for (std::size_t i = 0; i < n; ++i) {
         net::Packet& pkt = vec.pkt(i);
-        san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
-        pkt.meta().in_port = in_port;
-        try_tunnel_decap(pkt, ctx);
+        admit(pkt, in_port, ctx);
         ctx.charge(costs_.parse_extract);
         pkt.meta().latency_ns += costs_.parse_extract;
         vec.key(i) = net::parse_flow(pkt);
@@ -538,109 +490,29 @@ void DpifNetdev::process_vector(std::uint32_t in_port, net::PacketBatch& vec,
 
     // ---- Phase A2: one megaflow classify pass for the EMC-miss set ---
     std::array<const net::FlowKey*, kCap> miss_keys;
-    std::array<std::size_t, kCap> miss_slot;
     std::array<MegaflowCache::LookupResult, kCap> miss_res;
-    std::array<int, kCap> hint;
-    hint.fill(-1);
+    std::array<const MegaflowCache::LookupResult*, kCap> hint;
+    hint.fill(nullptr);
     std::size_t n_miss = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (!emc_.peek(vec.key(i), vec.hash(i))) {
             miss_keys[n_miss] = &vec.key(i);
-            miss_slot[n_miss] = i;
-            ++n_miss;
+            hint[i] = &miss_res[n_miss++];
         }
     }
     const std::uint64_t epoch = megaflow_.epoch();
-    if (n_miss > 0) {
-        megaflow_.lookup_batch(miss_keys.data(), n_miss, miss_res.data());
-        for (std::size_t j = 0; j < n_miss; ++j) hint[miss_slot[j]] = static_cast<int>(j);
-    }
+    if (n_miss > 0) megaflow_.lookup_batch(miss_keys.data(), n_miss, miss_res.data());
 
     // ---- Phase B: in-order resolve + execute -------------------------
     for (std::size_t i = 0; i < n; ++i) {
-        net::Packet pkt = vec.take(i);
-        const net::FlowKey& key = vec.key(i);
-        const std::uint64_t hash = vec.hash(i);
-
-        ctx.charge(costs_.emc_hit);
-        pkt.meta().latency_ns += costs_.emc_hit;
-        if (emc_.occupancy() > 128 || megaflow_.flow_count() > 128) {
-            ctx.charge(costs_.cache_miss);
-            pkt.meta().latency_ns += costs_.cache_miss;
-        }
-        if (const CachedFlowPtr flow = emc_.lookup_ref(key, hash)) {
-            OVSX_COVERAGE_CTX(ctx, "emc.hit");
-            ++stats_hits_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "hit");
-            }
-            ++flow->hits;
-            flow->bytes += pkt.size();
-            run_actions(std::move(pkt), flow->actions, ctx, 0);
-            continue;
-        }
-        OVSX_COVERAGE_CTX(ctx, "emc.miss");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "miss");
-        }
-
-        MegaflowCache::LookupResult res;
-        {
-            obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-            if (hint[i] >= 0 && megaflow_.epoch() == epoch) {
-                res = miss_res[static_cast<std::size_t>(hint[i])];
-                megaflow_.commit(res);
-            } else {
-                // The batch hint is stale (an earlier packet's upcall or a
-                // peek/lookup disagreement): redo the scalar lookup.
-                res = megaflow_.lookup(key);
-            }
-            ctx.charge(static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
-            pkt.meta().latency_ns +=
-                static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe;
-        }
-        if (res.flow) {
-            OVSX_COVERAGE_CTX(ctx, "megaflow.hit");
-            ++stats_hits_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns,
-                           "hit", res.probes);
-            }
-            ++res.flow->hits;
-            res.flow->bytes += pkt.size();
-            if (++emc_insert_counter_ % emc_insert_inv_prob_ == 0) {
-                obs::PerfStageScope ins(perf, obs::PerfStage::MegaflowLookup);
-                emc_.insert(key, hash, res.flow);
-                ctx.charge(costs_.emc_hit);
-            }
-            run_actions(std::move(pkt), res.flow->actions, ctx, 0);
-            continue;
-        }
-
-        OVSX_COVERAGE_CTX(ctx, "megaflow.miss");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns,
-                       "miss", res.probes);
-        }
-        ++upcall_count_;
-        if (perf) perf->note_upcall();
-        if (!upcall_) {
-            ++dropped_;
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                           "no-upcall-handler");
-            }
-            continue;
-        }
-        OVSX_COVERAGE_CTX(ctx, "dpif_netdev.upcall");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Upcall, pkt.meta().latency_ns, "");
-        }
-        obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
-        ctx.charge(costs_.upcall);
-        pkt.meta().latency_ns += costs_.upcall;
-        upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
+        // Nothing resolve() does before its megaflow stage touches the
+        // classifier, so the epoch read here is the one the hint is
+        // consumed under. A stale hint (an earlier packet's upcall) is
+        // withheld and resolve() redoes the scalar lookup.
+        resolve(vec.take(i), vec.key(i), vec.hash(i),
+                megaflow_.epoch() == epoch ? hint[i] : nullptr, ctx, 0);
     }
+    vec.clear();
 }
 
 void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
@@ -649,14 +521,19 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         ++dropped_;
         return;
     }
-    obs::PmdPerf* perf = ctx.perf();
-
     // Miniflow extraction.
-    obs::PerfStageScope emc_scope(perf, obs::PerfStage::EmcLookup);
+    obs::PerfStageScope emc_scope(ctx.perf(), obs::PerfStage::EmcLookup);
     ctx.charge(costs_.parse_extract);
     pkt.meta().latency_ns += costs_.parse_extract;
     const net::FlowKey key = net::parse_flow(pkt);
-    const std::uint64_t hash = key.hash();
+    resolve(std::move(pkt), key, key.hash(), nullptr, ctx, depth);
+}
+
+void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64_t hash,
+                         const MegaflowCache::LookupResult* hint, sim::ExecContext& ctx,
+                         int depth)
+{
+    obs::PmdPerf* perf = ctx.perf();
 
     // First level: EMC. Large lookup working sets spill out of the CPU
     // caches: one extra cold line per packet once the EMC holds many
@@ -685,11 +562,17 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "miss");
     }
 
-    // Second level: megaflow (tuple space search).
+    // Second level: megaflow (tuple space search), or the vector
+    // spine's batch classification of this packet.
     MegaflowCache::LookupResult res;
     {
         obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-        res = megaflow_.lookup(key);
+        if (hint) {
+            res = *hint;
+            megaflow_.commit(res);
+        } else {
+            res = megaflow_.lookup(key);
+        }
         ctx.charge(static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
         pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe;
     }

@@ -66,19 +66,10 @@ public:
     // (the pre-O1 configuration).
     std::uint32_t main_thread_poll_once(sim::ExecContext& ctx);
 
-    // Datapath entry: run a received batch through the pipeline. By
-    // default this is the vector spine — bursts are processed through a
-    // PacketBatch in two phases (classify the whole vector, then resolve
-    // and execute strictly in packet order) so per-packet semantics,
-    // counters, and trace spans match the scalar path exactly.
-    void process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
-                       sim::ExecContext& ctx);
-
-    // Forces the pre-batching packet-at-a-time spine (also settable via
-    // the OVSX_SCALAR_SPINE env var). Kept for before/after benchmarking
-    // and for the batch-vs-scalar differential mode.
+    // Forces the packet-at-a-time spine (per-packet parse and megaflow
+    // lookup into the same resolver): the reference the batch-vs-scalar
+    // differential checks the vector spine against.
     void set_scalar_spine(bool scalar) { scalar_spine_ = scalar; }
-    bool scalar_spine() const { return scalar_spine_; }
 
     // ---- in-band telemetry (INT) ---------------------------------------
     // When enabled this switch participates in fabric INT: the Geneve
@@ -190,11 +181,32 @@ private:
     void sample_window();
     bool maybe_rebalance(double min_improvement);
 
+    // Datapath entry: run a received batch through the pipeline. By
+    // default this is the vector spine — bursts are processed through a
+    // PacketBatch in two phases (classify the whole vector, then resolve
+    // and execute strictly in packet order) so per-packet semantics,
+    // counters, and trace spans match the scalar path exactly. Not
+    // reentrant: only the poll loops call it.
+    void process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
+                       sim::ExecContext& ctx);
+    // One RxPoll-scoped rx_burst on (port, queue), then process_batch.
+    std::uint32_t poll_rxq(std::uint32_t port_no, Netdev& netdev, std::uint32_t queue,
+                           sim::ExecContext& ctx);
+    // san ownership, in_port, userspace tunnel termination.
+    void admit(net::Packet& pkt, std::uint32_t in_port, sim::ExecContext& ctx);
+    // Scalar entry and recirculation: depth guard, parse, resolve().
     void pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth);
-    void process_vector(std::uint32_t in_port, net::PacketBatch& vec, sim::ExecContext& ctx);
+    // Vector spine over batch_scratch_; leaves it cleared.
+    void process_vector(std::uint32_t in_port, sim::ExecContext& ctx);
+    // The per-packet resolver both spines share: EMC -> megaflow ->
+    // upcall with every tier's charges, counters, traces and profiler
+    // stages. `hint` is a batch classification valid at the current
+    // megaflow epoch, or null for a per-packet lookup. The caller holds
+    // the EmcLookup stage scope and has charged the parse.
+    void resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64_t hash,
+                 const MegaflowCache::LookupResult* hint, sim::ExecContext& ctx, int depth);
     void output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx);
-    bool try_tunnel_decap(net::Packet& pkt, sim::ExecContext& ctx);
     void maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx);
     void run_actions(net::Packet&& pkt, const kern::OdpActions& actions, sim::ExecContext& ctx,
                      int depth);
@@ -215,7 +227,6 @@ private:
     std::map<std::uint32_t, std::vector<net::Packet>> out_batches_;
     bool batching_outputs_ = false;
     net::PacketBatch batch_scratch_; // reused by process_batch
-    bool batch_scratch_busy_ = false;
     bool scalar_spine_ = false;
     std::vector<net::Packet> punted_;
     sim::Nanos now_ = 0;

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "kern/kernel.h"
 #include "net/builder.h"
+#include "net/packet_batch.h"
+#include "ovs/dpif_netdev.h"
 #include "ovs/emc.h"
 #include "ovs/megaflow.h"
 #include "ovs/meter.h"
+#include "sim/rng.h"
 
 namespace ovsx::ovs {
 namespace {
@@ -164,6 +171,135 @@ TEST(MegaflowTest, ReplaceExisting)
     cache.insert(key_for(1), mask, {kern::OdpAction::output(2)});
     EXPECT_EQ(cache.flow_count(), 1u);
     EXPECT_EQ(cache.lookup(key_for(9)).flow->actions[0].port, 2u);
+}
+
+// ---- lookup_batch + commit vs per-key lookup ---------------------------
+
+// Four subtables of different specificity over a small key space, so
+// random keys hit every subtable and also miss. Their hit counts do not
+// follow their insertion order, so rerank() reorders them and the probe
+// order after it depends on the per-subtable hit stats.
+std::vector<net::FlowMask> batch_masks()
+{
+    net::FlowMask port;
+    port.bits.in_port = 0xffffffff;
+    net::FlowMask dst24 = port;
+    dst24.bits.nw_dst = 0xffffff00;
+    net::FlowMask dst32 = port;
+    dst32.bits.nw_dst = 0xffffffff;
+    net::FlowMask sport = dst24;
+    sport.bits.tp_src = 0xffff;
+    return {port, sport, dst32, dst24};
+}
+
+net::FlowKey random_key(sim::Rng& rng)
+{
+    net::FlowKey key = key_for(static_cast<std::uint16_t>(rng.below(16)),
+                               ipv4(10, 0, static_cast<std::uint8_t>(rng.below(4)),
+                                    static_cast<std::uint8_t>(rng.below(8))));
+    key.in_port = 1 + static_cast<std::uint32_t>(rng.below(3));
+    return key;
+}
+
+// Identical contents for every cache built with the same seed.
+void populate(MegaflowCache& cache, std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    const auto masks = batch_masks();
+    for (std::uint32_t i = 0; i < 24; ++i) {
+        const net::FlowMask& mask = masks[i % masks.size()];
+        net::FlowKey key = random_key(rng);
+        // Port-only flows all land on in_port 1, so keys on in_port 2
+        // and 3 that match no narrower flow miss.
+        if (i % masks.size() == 0) key.in_port = 1;
+        cache.insert(key, mask, {kern::OdpAction::output(100 + i)});
+    }
+}
+
+TEST(MegaflowBatchTest, LookupBatchPlusCommitEqualsPerKeyLookup)
+{
+    constexpr std::size_t kCap = net::PacketBatch::kCapacity;
+    for (const std::uint32_t shards : {1u, 4u, 16u}) {
+        SCOPED_TRACE(shards);
+        MegaflowCache scalar(shards);
+        MegaflowCache batched(shards);
+        populate(scalar, 7);
+        populate(batched, 7);
+        ASSERT_EQ(batched.mask_count(), 4u);
+
+        sim::Rng rng(1000 + shards);
+        std::vector<net::FlowKey> keys;
+        for (int i = 0; i < 400; ++i) keys.push_back(random_key(rng));
+
+        // Bursts of up to a batch, each classified in one pass and then
+        // committed in key order, as the vector spine does.
+        std::vector<int> probes_unranked;
+        for (std::size_t base = 0; base < keys.size(); base += kCap) {
+            const std::size_t n = std::min(kCap, keys.size() - base);
+            std::array<const net::FlowKey*, kCap> ptrs;
+            std::array<MegaflowCache::LookupResult, kCap> res;
+            for (std::size_t j = 0; j < n; ++j) ptrs[j] = &keys[base + j];
+            const std::uint64_t epoch = batched.epoch();
+            batched.lookup_batch(ptrs.data(), n, res.data());
+            for (std::size_t j = 0; j < n; ++j) {
+                const auto want = scalar.lookup(keys[base + j]);
+                probes_unranked.push_back(want.probes);
+                batched.commit(res[j]);
+                EXPECT_EQ(batched.epoch(), epoch) << "classification moved the epoch";
+                EXPECT_EQ(res[j].probes, want.probes) << base + j;
+                ASSERT_EQ(res[j].flow == nullptr, want.flow == nullptr) << base + j;
+                if (!want.flow) continue;
+                EXPECT_EQ(res[j].flow->actions[0].port, want.flow->actions[0].port) << base + j;
+                EXPECT_EQ(res[j].flow->masked_key, want.flow->masked_key) << base + j;
+            }
+        }
+        EXPECT_EQ(batched.hits(), scalar.hits());
+        EXPECT_EQ(batched.misses(), scalar.misses());
+        EXPECT_GT(batched.hits(), 0u);
+        EXPECT_GT(batched.misses(), 0u);
+
+        // The per-subtable hit stats are consumed only by rerank(): the
+        // same stats give the same probe order. The order must also
+        // have moved, or this comparison would not see the stats.
+        scalar.rerank();
+        batched.rerank();
+        bool moved = false;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const int ranked = scalar.lookup(keys[i]).probes;
+            EXPECT_EQ(batched.lookup(keys[i]).probes, ranked) << i;
+            moved |= ranked != probes_unranked[i];
+        }
+        EXPECT_TRUE(moved) << "rerank kept the insertion order";
+    }
+}
+
+TEST(MegaflowBatchTest, FlowPutBetweenBatchAndCommitMovesEpoch)
+{
+    // The vector spine snapshots epoch() before lookup_batch and trusts
+    // a batch result only while it is unchanged; an upcall's flow_put
+    // between the batch and the commit must therefore move it, whether
+    // it adds a flow to an existing subtable or a new subtable.
+    kern::Kernel kernel;
+    DpifNetdev dpif(kernel);
+    const auto masks = batch_masks();
+    dpif.flow_put(key_for(1), masks[0], {kern::OdpAction::output(1)});
+
+    const net::FlowKey probe = key_for(2);
+    const net::FlowKey* keys[] = {&probe};
+    MegaflowCache::LookupResult res[1];
+    const std::uint64_t before = dpif.megaflow().epoch();
+    dpif.megaflow().lookup_batch(keys, 1, res);
+    ASSERT_NE(res[0].flow, nullptr);
+    EXPECT_EQ(dpif.megaflow().epoch(), before);
+
+    net::FlowKey other_port = key_for(3);
+    other_port.in_port = 2;
+    dpif.flow_put(other_port, masks[0], {kern::OdpAction::output(2)});
+    const std::uint64_t same_subtable = dpif.megaflow().epoch();
+    EXPECT_NE(same_subtable, before);
+
+    dpif.flow_put(key_for(4), masks[1], {kern::OdpAction::output(3)});
+    EXPECT_NE(dpif.megaflow().epoch(), same_subtable);
 }
 
 TEST(MeterTest, PpsMeterDropsAboveRate)

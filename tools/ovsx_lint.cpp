@@ -21,6 +21,12 @@
 //                       make_unique, make_shared) inside the body of an
 //                       OVSX_HOT function. Hot paths must draw from
 //                       preallocated pools.
+//   env-knob            getenv in the datapath libraries (src/net, kern,
+//                       ovs, afxdp, dpdk, ebpf). Datapath behaviour is
+//                       configured through its API, where tests and the
+//                       differential harness can see it; environment
+//                       variables stay in the tooling layers (src/gen
+//                       output paths, benches).
 //
 // Violations are suppressible via tools/ovsx_lint_suppressions.txt:
 // exact-match `rule:path:detail` lines plus a `budget N` cap. The list
@@ -302,6 +308,28 @@ void rule_unchecked_accessor(const SourceFile& f, const std::string& code,
                        "suppression"});
 }
 
+// ---- rule: env-knob -----------------------------------------------------
+
+const char* const kDatapathDirs[] = {
+    "src/net/", "src/kern/", "src/ovs/", "src/afxdp/", "src/dpdk/", "src/ebpf/",
+};
+
+void rule_env_knob(const SourceFile& f, const std::string& code, std::vector<Finding>& out)
+{
+    const bool datapath = std::any_of(std::begin(kDatapathDirs), std::end(kDatapathDirs),
+                                      [&](const char* d) { return starts_with(f.path, d); });
+    if (!datapath) return;
+    for (const char* token : {"getenv", "std::getenv", "secure_getenv"}) {
+        const auto hits = find_token(code, token);
+        if (hits.empty()) continue;
+        out.push_back({"env-knob", f.path, "getenv", line_of(code, hits.front()),
+                       std::string(token) +
+                           " in a datapath library; configure the datapath through its "
+                           "API, not the environment"});
+        return; // one finding per file
+    }
+}
+
 // ---- rule: hot-alloc ----------------------------------------------------
 
 const char* const kAllocTokens[] = {
@@ -467,6 +495,7 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files)
         rule_raw_mutex(files[i], stripped[i], findings);
         rule_guarded_by(files[i], stripped[i], findings);
         rule_unchecked_accessor(files[i], stripped[i], findings);
+        rule_env_knob(files[i], stripped[i], findings);
         scan_hot(files[i], stripped[i], pending_hot, findings);
     }
     resolve_hot_definitions(files, stripped, pending_hot, findings);
@@ -619,6 +648,22 @@ int self_test()
             {"src/net/b.cpp", "auto* h = pkt.header_at<Udp>(off);\n"},
         });
         expect(count_rule(fs, "unchecked-accessor") == 1, "unchecked-accessor scoping");
+    }
+    // env-knob: fires in the datapath libraries (plain and std::
+    // spelling, once per file), silent in src/gen and in comments.
+    {
+        const auto fs = run_rules({
+            {"src/ovs/d.cpp", "bool s = std::getenv(\"X\");\nbool t = getenv(\"Y\");\n"},
+            {"src/kern/k.cpp", "const char* e = getenv(\"Z\");\n"},
+            {"src/gen/g.cpp", "const char* p = std::getenv(\"OUT\");\n"},
+            {"src/net/n.cpp", "// std::getenv in a comment\n"},
+        });
+        expect(count_rule(fs, "env-knob") == 2, "env-knob fires once per datapath file");
+        expect(std::any_of(fs.begin(), fs.end(),
+                           [](const Finding& f) {
+                               return f.key() == "env-knob:src/ovs/d.cpp:getenv";
+                           }),
+               "env-knob suppression key shape");
     }
     // hot-alloc: inline body, out-of-line body via Class::method, and a
     // clean hot function.
