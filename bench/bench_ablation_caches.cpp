@@ -152,9 +152,12 @@ int main()
         agent.deploy();
 
         // Warm the caches first (upcalls are control-plane, not
-        // steady-state), then measure.
+        // steady-state), let the revalidator re-rank, then measure.
         for (int round = 0; round < 2; ++round) {
-            if (round == 1) dpifp->pmd_ctx(pmd).reset();
+            if (round == 1) {
+                dpifp->revalidate();
+                dpifp->pmd_ctx(pmd).reset();
+            }
             gen::TrafficGen gen({.n_flows = 1000});
             for (std::uint64_t i = 0; i < kPackets; ++i) {
                 nic0.rx_from_wire(gen.next());

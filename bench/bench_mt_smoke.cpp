@@ -58,6 +58,10 @@ int main(int argc, char** argv)
         argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 0)) : 4;
 
     ovs::MegaflowCache megaflow(shards);
+    // Odd source ports install under a second mask, so the two
+    // subtables' hit counts differ and rerank() really reorders them.
+    net::FlowMask wide = net::FlowMask::exact();
+    wide.bits.nw_tos = 0;
     ovs::Emc emc;
     ovs::UserspaceConntrack uct;
     uct.reshard(shards);
@@ -86,8 +90,8 @@ int main(int argc, char** argv)
                 if (!res.flow) {
                     kern::OdpActions actions;
                     actions.push_back(kern::OdpAction::output(2));
-                    ovs::CachedFlowPtr flow =
-                        megaflow.insert(key, net::FlowMask::exact(), std::move(actions));
+                    ovs::CachedFlowPtr flow = megaflow.insert(
+                        key, sport % 2 ? wide : net::FlowMask::exact(), std::move(actions));
                     emc.insert(key, hash, std::move(flow));
                 }
 
@@ -103,6 +107,9 @@ int main(int argc, char** argv)
                 spec.zone = static_cast<std::uint16_t>(t);
                 spec.commit = true;
                 uct.process(pkt, key, spec, ctx);
+
+                // Thread 0 also plays the datapath clock's ranking pass.
+                if (t == 0 && i % 64 == 63) megaflow.rerank();
 
                 local_ops += 3;
             }

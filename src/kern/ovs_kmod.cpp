@@ -5,6 +5,7 @@
 #include "kern/int_sink.h"
 #include "kern/kernel.h"
 #include "kern/stack.h"
+#include "kern/timer_wheel.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
@@ -38,6 +39,19 @@ void OvsKernelDatapath::set_now(sim::Nanos now)
     // Occupancy counters + amortized timer-wheel expiry on the host
     // conntrack (bounded per tick; never an O(table) scan).
     kernel_.conntrack().tick(now);
+    // Mask ranking (Linux's ovs_flow_masks_rebalance) on the same
+    // quantum: most hits since the last pass first, most specific first
+    // among equals.
+    const std::uint64_t quantum =
+        static_cast<std::uint64_t>(now) >> TimerWheel<std::uint64_t>::kDefaultTickShift;
+    if (quantum == rank_quantum_) return;
+    rank_quantum_ = quantum;
+    std::stable_sort(subtables_.begin(), subtables_.end(),
+                     [](const Subtable& a, const Subtable& b) {
+                         if (a.hits != b.hits) return a.hits > b.hits;
+                         return a.mask.exact_bytes() > b.mask.exact_bytes();
+                     });
+    for (auto& sub : subtables_) sub.hits = 0;
 }
 
 OvsKernelDatapath::~OvsKernelDatapath()
@@ -150,10 +164,13 @@ void OvsKernelDatapath::flow_put(const net::FlowKey& key, const net::FlowMask& m
     sub.size = 1;
     subtables_.push_back(std::move(sub));
     san::audit_add(san_scope_, "kdp.flow", flow_audit_key(masked, mask), OVSX_SITE);
-    // Keep the most specific masks first so probe order favours them.
-    std::sort(subtables_.begin(), subtables_.end(), [](const Subtable& a, const Subtable& b) {
-        return a.mask.exact_bytes() > b.mask.exact_bytes();
-    });
+    // A new mask re-sorts most specific first, so probe order favours
+    // specific masks until set_now ranks by use. Stable: equally
+    // specific masks keep their ranked order.
+    std::stable_sort(subtables_.begin(), subtables_.end(),
+                     [](const Subtable& a, const Subtable& b) {
+                         return a.mask.exact_bytes() > b.mask.exact_bytes();
+                     });
 }
 
 bool OvsKernelDatapath::flow_del(const net::FlowKey& key, const net::FlowMask& mask)
@@ -219,6 +236,7 @@ OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& ke
         if (it == sub.flows.end()) continue;
         for (const auto& [k, actions] : it->second) {
             if (sub.mask.matches(key, k)) {
+                ++sub.hits;
                 res.actions = actions;
                 return res;
             }

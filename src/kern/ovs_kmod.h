@@ -91,7 +91,8 @@ public:
 
     // Virtual clock used for meter refill and conntrack timestamps, the
     // same convention as DpifNetdev::set_now. Also drives the host
-    // conntrack's timer-wheel tick (ovs_kmod.cpp).
+    // conntrack's timer-wheel tick and, once per ~1ms wheel quantum,
+    // re-ranks the masks by hits since the previous ranking.
     void set_now(sim::Nanos now);
     sim::Nanos now() const { return now_; }
 
@@ -146,6 +147,7 @@ private:
         std::unordered_map<std::uint64_t, std::vector<std::pair<net::FlowKey, ActionsRef>>>
             flows; // hash(masked key) -> entries
         std::size_t size = 0;
+        std::uint64_t hits = 0; // lookups matched here since the last ranking
     };
 
     struct LookupResult {
@@ -165,7 +167,10 @@ private:
     Kernel& kernel_;
     std::map<std::uint32_t, Vport> ports_;
     std::uint32_t next_port_no_ = 1;
-    std::vector<Subtable> subtables_; // ordered most-specific first
+    // Probe order: ranked by hits once per set_now quantum; a new mask
+    // re-sorts the table most specific first (also the tie-break).
+    std::vector<Subtable> subtables_;
+    std::uint64_t rank_quantum_ = 0; // set_now quantum of the last ranking
     UpcallHandler upcall_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -7,6 +7,7 @@
 
 #include "kern/int_sink.h"
 #include "kern/kernel.h"
+#include "kern/timer_wheel.h"
 #include "net/hash.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
@@ -209,6 +210,15 @@ void DpifNetdev::set_now(sim::Nanos now)
 {
     now_ = now;
     ct_.tick(now); // occupancy counters + amortized timer-wheel expiry
+    // Subtable ranking (OVS's dp_netdev_pmd_try_optimize), once per ct
+    // wheel quantum rather than OVS's 1 s: bench phases last only tens
+    // of virtual ms.
+    const std::uint64_t quantum =
+        static_cast<std::uint64_t>(now) >> kern::TimerWheel<std::uint64_t>::kDefaultTickShift;
+    if (quantum != rank_quantum_) {
+        rank_quantum_ = quantum;
+        megaflow_.rerank();
+    }
     if (window_.tick(now)) sample_window();
 }
 
@@ -816,6 +826,10 @@ void DpifNetdev::revalidate()
     megaflow_.expire_idle();
     emc_.sweep();
     megaflow_.rerank();
+    // Occupancy gauge, sampled once per revalidator cycle.
+    if (const std::size_t flows = megaflow_.flow_count()) {
+        OVSX_COVERAGE_N("mf.shard.occupancy", flows);
+    }
 }
 
 } // namespace ovsx::ovs

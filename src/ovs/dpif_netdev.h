@@ -95,7 +95,8 @@ public:
     MeterTable& meters() { return meters_; }
     NetlinkCache& netlink_cache() { return netlink_; }
 
-    // Virtual time for meters / ct timestamps. Also drives the telemetry
+    // Virtual time for meters / ct timestamps. Re-ranks the megaflow
+    // subtables once per ~1ms ct wheel quantum. Also drives the telemetry
     // window: every crossed sampling boundary snapshots per-PMD/per-rxq
     // busy-ns and coverage counters, publishes the window, and (when
     // auto-LB is enabled) runs a rebalance check.
@@ -134,7 +135,8 @@ public:
     // Packets punted by an explicit Userspace action.
     std::vector<net::Packet>& punted() { return punted_; }
 
-    // Revalidation sweep: drops dead EMC entries and re-ranks subtables.
+    // Revalidation sweep: expires idle megaflows, drops dead EMC entries,
+    // re-ranks subtables and samples the mf.shard.occupancy gauge.
     void revalidate();
 
     // EMC insertion sampling: insert one in `inv_prob` megaflow hits
@@ -230,6 +232,7 @@ private:
     bool scalar_spine_ = false;
     std::vector<net::Packet> punted_;
     sim::Nanos now_ = 0;
+    std::uint64_t rank_quantum_ = 0; // set_now quantum of the last rerank
     std::uint64_t upcall_count_ = 0;
     std::uint64_t dropped_ = 0;
     // Instance-local EMC+megaflow hit total (pmd-stats-show "hits");

@@ -508,33 +508,43 @@ std::size_t MegaflowCache::expire_idle()
 
 void MegaflowCache::rerank()
 {
-    AllShardsGuard guard(*this);
-    for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
-    const ShardState* oracle = shards_[0]->state.load(std::memory_order_relaxed);
+    // Ranked from the published skeleton under an epoch pin, like a
+    // lookup: the datapath clock calls this every ~1ms of virtual time
+    // and most calls move nothing, so they lock no shard. The pin keeps
+    // `oracle` alive, so finding it still published under the locks
+    // means no subtable was added or moved in between.
+    sync::EpochGuard pin(epoch_domain_);
+    const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
     const std::size_t nsubs = oracle->subs.size();
     // Snapshot the counters so the sort comparator is stable, then
     // reset them for the next ranking window.
     std::vector<std::uint64_t> hit(nsubs);
-    std::vector<std::size_t> size(nsubs);
     for (std::size_t r = 0; r < nsubs; ++r) {
         hit[r] = oracle->subs[r].stats->hit_count.exchange(0, std::memory_order_relaxed);
-        size[r] = oracle->subs[r].stats->size.load(std::memory_order_relaxed);
     }
     std::vector<std::size_t> order(nsubs);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) { return hit[a] > hit[b]; });
-    // Drop empty subtables so dead masks stop costing probes.
+    auto empty = [&](std::size_t r) {
+        return oracle->subs[r].stats->size.load(std::memory_order_relaxed) == 0;
+    };
+    if (std::is_sorted(order.begin(), order.end()) &&
+        std::none_of(order.begin(), order.end(), empty)) {
+        return;
+    }
+
+    AllShardsGuard guard(*this);
+    for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
+    if (shards_[0]->state.load(std::memory_order_relaxed) != oracle) return;
+    // Drop empty subtables so dead masks stop costing probes (sizes
+    // change only under the shard locks, so this read is exact).
     std::vector<std::size_t> kept;
     kept.reserve(nsubs);
     for (const std::size_t r : order) {
-        if (size[r] > 0) kept.push_back(r);
+        if (!empty(r)) kept.push_back(r);
     }
-    // Occupancy gauge, sampled once per revalidator cycle.
-    std::size_t total = 0;
-    for (const std::size_t r : kept) total += size[r];
-    if (total > 0) OVSX_COVERAGE_N("mf.shard.occupancy", total);
+    epoch_.fetch_add(1, std::memory_order_release);
     for (std::uint32_t i = 0; i < nshards_; ++i) {
         const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
         auto* next = new ShardState;

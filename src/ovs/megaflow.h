@@ -70,11 +70,11 @@ public:
     // lookup_batch (subtable indices are stable across an epoch).
     OVSX_HOT void commit(const LookupResult& res);
 
-    // Bumped by any structural mutation (insert/remove/expire/rerank/
-    // clear); lets a batched lookup detect that its snapshot went
-    // stale. Lock-free: the release store in mutators pairs with this
-    // acquire so a reader that sees the new epoch also sees the
-    // mutation it tags.
+    // Bumped by any structural mutation (insert/remove/expire/clear, a
+    // rerank that moves or drops a subtable); lets a batched lookup
+    // detect that its snapshot went stale. Lock-free: the release store
+    // in mutators pairs with this acquire so a reader that sees the new
+    // epoch also sees the mutation it tags.
     std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
     // Installs a flow; replaces an existing identical masked entry.

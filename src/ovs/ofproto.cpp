@@ -1,7 +1,8 @@
 #include "ovs/ofproto.h"
 
+#include <algorithm>
 #include <cstring>
-
+#include <iterator>
 #include <set>
 
 namespace ovsx::ovs {
@@ -83,20 +84,30 @@ void Ofproto::add_rule(OfRule rule)
     auto owned = std::make_unique<OfRule>(std::move(rule));
     const OfRule* ptr = owned.get();
     Table& table = tables_[ptr->table];
-    const net::FlowKey masked = ptr->match.masked();
-    for (auto& sub : table.subtables) {
-        if (sub.mask == ptr->match.mask) {
-            sub.rules[masked.hash()].push_back(ptr);
-            ++table.n_rules;
-            ++rule_count_;
-            rules_.push_back(std::move(owned));
-            return;
-        }
+    auto sub = std::find_if(table.subtables.begin(), table.subtables.end(),
+                            [&](const Subtable& s) { return s.mask == ptr->match.mask; });
+    bool reorder = false;
+    if (sub == table.subtables.end()) {
+        table.subtables.push_back(Subtable{.mask = ptr->match.mask,
+                                           .rules = {},
+                                           .max_priority = ptr->priority,
+                                           .created = table.subtables.size()});
+        sub = std::prev(table.subtables.end());
+        reorder = true;
+    } else if (ptr->priority > sub->max_priority) {
+        sub->max_priority = ptr->priority;
+        reorder = true;
     }
-    Subtable sub;
-    sub.mask = ptr->match.mask;
-    sub.rules[masked.hash()].push_back(ptr);
-    table.subtables.push_back(std::move(sub));
+    sub->rules[ptr->match.masked().hash()].push_back(ptr);
+    if (reorder) {
+        std::sort(table.subtables.begin(), table.subtables.end(),
+                  [](const Subtable& a, const Subtable& b) {
+                      if (a.max_priority != b.max_priority) {
+                          return a.max_priority > b.max_priority;
+                      }
+                      return a.created < b.created;
+                  });
+    }
     ++table.n_rules;
     ++rule_count_;
     rules_.push_back(std::move(owned));
@@ -161,11 +172,15 @@ void Ofproto::clear()
 }
 
 const OfRule* Ofproto::classify(const Table& table, const net::FlowKey& key,
-                                net::FlowMask* wildcards, int* probes) const
+                                net::FlowMask* wildcards) const
 {
     const OfRule* best = nullptr;
     for (const auto& sub : table.subtables) {
-        ++*probes;
+        // Subtables are sorted by max_priority, so no rule from here on
+        // can beat `best` (ties go to the earlier one). The unprobed
+        // masks stay out of the wildcards: whatever the packet holds in
+        // those bits, the decision cannot change.
+        if (best && sub.max_priority <= best->priority) break;
         // Every probed mask contributes to the wildcards: the cached
         // megaflow must be at least as specific as everything examined.
         auto* wc = reinterpret_cast<std::uint8_t*>(&wildcards->bits);
@@ -231,8 +246,7 @@ XlateResult Ofproto::xlate(const net::FlowKey& key) const
             break;
         }
         ++res.tables_visited;
-        int probes = 0;
-        const OfRule* rule = classify(tit->second, working, &res.wildcards, &probes);
+        const OfRule* rule = classify(tit->second, working, &res.wildcards);
         if (!rule) {
             res.dropped = true;
             break;

@@ -5,7 +5,10 @@
 // translates ("xlate") the matched action chain into flat datapath
 // actions plus a megaflow wildcard mask — the union of every mask
 // probed, so the installed cache entry is exactly as wildcarded as the
-// decision that produced it.
+// decision that produced it. Subtables are probed in descending order
+// of their highest rule priority and the probe stops once no remaining
+// subtable can beat the match (tuple priority sorting), so a
+// high-priority hit leaves the lower subtables' fields wildcarded.
 #pragma once
 
 #include <cstdint>
@@ -111,15 +114,19 @@ private:
     struct Subtable {
         net::FlowMask mask;
         std::unordered_map<std::uint64_t, std::vector<const OfRule*>> rules;
+        std::int32_t max_priority = 0; // highest priority of any rule here
+        std::size_t created = 0;       // creation index within the table
     };
 
     struct Table {
+        // Sorted by max_priority, descending; among equal max_priority
+        // the subtable created first is probed first.
         std::vector<Subtable> subtables;
         std::size_t n_rules = 0;
     };
 
     const OfRule* classify(const Table& table, const net::FlowKey& key,
-                           net::FlowMask* wildcards, int* probes) const;
+                           net::FlowMask* wildcards) const;
     std::uint32_t recirc_id_for(std::uint8_t resume_table, std::uint16_t zone) const;
 
     std::vector<std::unique_ptr<OfRule>> rules_;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "kern/kernel.h"
 #include "kern/nic.h"
 #include "kern/virtio.h"
 #include "net/builder.h"
+#include "nsx/nsx.h"
 #include "ovs/dpif_kernel.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/netdev_afxdp.h"
@@ -130,6 +133,52 @@ TEST(DpifKernelTest, SameRulesDifferentDatapaths)
         }
         EXPECT_EQ(forwarded, 10u) << (use_kernel ? "kernel" : "afxdp");
     }
+}
+
+// The NSX ruleset on the kernel module: `conns` fresh 5-tuples of 4
+// packets each from one allowed prefix (48/8). Returns the upcalls and
+// the kernel flows they installed.
+std::pair<std::uint64_t, std::size_t> nsx_fresh_connections(std::uint32_t conns)
+{
+    kern::Kernel host("host");
+    auto& nic0 = host.add_device<kern::PhysicalDevice>("eth0", net::MacAddr::from_id(1));
+    auto& nic1 = host.add_device<kern::PhysicalDevice>("eth1", net::MacAddr::from_id(2));
+    std::uint64_t forwarded = 0;
+    nic1.connect_wire([&](net::Packet&&) { ++forwarded; });
+    auto& kdp = host.ovs_datapath();
+    const auto p0 = kdp.add_port(nic0);
+    const auto p1 = kdp.add_port(nic1);
+    const auto tun = kdp.add_tunnel_port("geneve0", net::TunnelType::Geneve, ipv4(172, 16, 0, 1));
+
+    VSwitch vswitch(std::make_unique<DpifKernel>(kdp));
+    nsx::NsxConfig cfg = nsx::make_production_config(ipv4(172, 16, 0, 1), tun, {p0, p1}, 1);
+    cfg.target_rules = 4000;
+    nsx::NsxAgent agent(vswitch, cfg);
+    agent.deploy();
+
+    for (std::uint32_t c = 0; c < conns; ++c) {
+        net::UdpSpec spec;
+        spec.dst_mac = cfg.vms[1].mac; // VM0's second interface, on p1
+        spec.src_ip = ipv4(48, 1, 0, 0) + c;
+        spec.dst_ip = ipv4(16, 0, 0, 1);
+        spec.src_port = static_cast<std::uint16_t>(1024 + c);
+        spec.dst_port = 12;
+        for (int p = 0; p < 4; ++p) nic0.rx_from_wire(net::build_udp(spec));
+    }
+    EXPECT_EQ(forwarded, 4u * conns);
+    EXPECT_EQ(host.conntrack().size(), conns);
+    return {vswitch.upcalls_handled(), kdp.flow_count()};
+}
+
+TEST(DpifKernelTest, NsxFreshConnectionsDoNotUpcall)
+{
+    // One kernel flow per NSX pass covers the whole prefix, so the
+    // counts do not grow with the number of connections.
+    const auto few = nsx_fresh_connections(4);
+    EXPECT_EQ(nsx_fresh_connections(128), few);
+    // +new: classify/ct, ACL/commit, egress; +est: ACL straight to egress.
+    EXPECT_EQ(few.first, 4u);
+    EXPECT_EQ(few.second, 4u);
 }
 
 TEST(VhostChannelTest, RingFullDropsAreCounted)

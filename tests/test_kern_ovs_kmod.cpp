@@ -5,6 +5,7 @@
 #include "kern/ovs_kmod.h"
 #include "kern/stack.h"
 #include "kern/tap.h"
+#include "kern/timer_wheel.h"
 #include "net/builder.h"
 #include "net/checksum.h"
 #include "net/headers.h"
@@ -155,6 +156,39 @@ TEST_F(KmodTest, MoreMasksMeanMoreProbesAndCost)
     nic0->rx_from_wire(udp64());
     const auto cost1 = nic0->softirq_ctx(0).total_busy() - before1;
     EXPECT_GT(cost3, cost1);
+}
+
+TEST_F(KmodTest, SetNowRanksHotMaskFirst)
+{
+    // The hot flow sits under the least specific mask, so it is probed
+    // last until a set_now quantum ranks the masks by hits.
+    net::Packet probe = udp64();
+    probe.meta().in_port = p0;
+    const auto key = net::parse_flow(probe);
+    net::FlowMask m1;
+    m1.bits.in_port = 0xffffffff;
+    net::FlowMask m2 = m1;
+    m2.bits.nw_dst = 0xffffffff;
+    net::FlowMask m3 = m2;
+    m3.bits.tp_dst = 0xffff;
+    net::FlowKey other = key;
+    other.tp_dst = 9;
+    dp->flow_put(other, m3, {OdpAction::drop()});
+    other.nw_dst = ipv4(9, 9, 9, 9);
+    dp->flow_put(other, m2, {OdpAction::drop()});
+    dp->flow_put(key, m1, {OdpAction::output(p1)});
+
+    auto cost_of_one = [&] {
+        const auto before = nic0->softirq_ctx(0).total_busy();
+        nic0->rx_from_wire(udp64());
+        return nic0->softirq_ctx(0).total_busy() - before;
+    };
+    const auto unranked = cost_of_one();
+    dp->set_now(1); // same quantum as the start: no ranking yet
+    EXPECT_EQ(cost_of_one(), unranked);
+    dp->set_now(sim::Nanos{1} << TimerWheel<std::uint64_t>::kDefaultTickShift);
+    EXPECT_EQ(cost_of_one(), unranked - 2 * kernel.costs().kdp_flow_probe);
+    EXPECT_EQ(out1.size(), 3u);
 }
 
 TEST_F(KmodTest, VlanActions)

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "gen/testbed.h"
+#include "kern/nic.h"
+#include "kern/timer_wheel.h"
 #include "net/builder.h"
 #include "net/headers.h"
-#include "kern/nic.h"
 #include "nsx/nsx.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/netdev_afxdp.h"
 #include "ovs/netdev_vhost.h"
+#include "sim/rng.h"
 
 namespace ovsx::nsx {
 namespace {
@@ -16,9 +20,8 @@ using net::ipv4;
 
 // Small-scale NSX deployment (fewer ACL rules for test speed) with two
 // local vhost VMs and a Geneve uplink.
-class NsxTest : public ::testing::Test {
-protected:
-    void SetUp() override
+struct NsxRig {
+    NsxRig()
     {
         uplink = &host.add_device<kern::PhysicalDevice>("uplink0", net::MacAddr::from_id(1));
         host.stack().add_address(uplink->ifindex(), ipv4(172, 16, 0, 1), 16);
@@ -61,6 +64,20 @@ protected:
         vm_b->kernel().stack().add_neighbor(vm_a->ip(), vm_a->vnic().mac(), 1);
     }
 
+    // VM A -> VM B UDP from `src` (a raw frame, so the source need not
+    // be VM A's own address).
+    void send_from(std::uint32_t src, std::uint16_t sport, std::uint16_t dport)
+    {
+        net::UdpSpec spec;
+        spec.src_mac = vm_a->vnic().mac();
+        spec.dst_mac = vm_b->vnic().mac();
+        spec.src_ip = src;
+        spec.dst_ip = vm_b->ip();
+        spec.src_port = sport;
+        spec.dst_port = dport;
+        vm_a->vnic().transmit(net::build_udp(spec), vm_a->vcpu());
+    }
+
     kern::Kernel host{"hostA"};
     kern::PhysicalDevice* uplink = nullptr;
     ovs::DpifNetdev* dpif_raw = nullptr;
@@ -72,6 +89,8 @@ protected:
     int pmd = 0;
     std::vector<net::Packet> wire_out;
 };
+
+class NsxTest : public ::testing::Test, protected NsxRig {};
 
 TEST_F(NsxTest, RulesetShapeMatchesConfig)
 {
@@ -167,17 +186,77 @@ TEST_F(NsxTest, DisallowedTrafficIsDropped)
     // Source prefix outside every allow rule: firewall drops it.
     gen::Sink sink;
     gen::bind_udp_sink(vm_b->kernel().stack(), 7777, sink);
-    net::UdpSpec spec;
-    spec.src_mac = vm_a->vnic().mac();
-    spec.dst_mac = vm_b->vnic().mac();
-    spec.src_ip = ipv4(203, 0, 113, 9); // not in any allow prefix
-    spec.dst_ip = vm_b->ip();
-    spec.src_port = 1;
-    spec.dst_port = 7777;
-    net::Packet pkt = net::build_udp(spec);
-    vm_a->vnic().transmit(std::move(pkt), vm_a->vcpu());
+    send_from(ipv4(203, 0, 113, 9), 1, 7777); // not in any allow prefix
     dpif_raw->pmd_poll_once(pmd);
     EXPECT_EQ(sink.packets, 0u);
+}
+
+TEST_F(NsxTest, FreshConnectionsDoNotUpcall)
+{
+    // Fresh 5-tuples of 4 packets each from one allowed prefix. The
+    // firewall decides on ct_state, zone and the source /8, so one
+    // megaflow per pass covers every connection: the upcall and megaflow
+    // counts stop growing after the first connection.
+    gen::Sink sink;
+    gen::bind_udp_sink(vm_b->kernel().stack(), 7777, sink);
+    std::uint32_t next = 0;
+    auto connect = [&](std::uint32_t conns) {
+        for (std::uint32_t c = 0; c < conns; ++c, ++next) {
+            for (int p = 0; p < 4; ++p) {
+                send_from(ipv4(10, 1, 0, 0) + next, static_cast<std::uint16_t>(1024 + next),
+                          7777);
+                dpif_raw->pmd_poll_once(pmd);
+            }
+        }
+    };
+    connect(4);
+    const auto upcalls = vswitch->upcalls_handled();
+    const auto megaflows = dpif_raw->flow_count();
+    connect(124);
+    EXPECT_EQ(sink.packets, 4u * 128u);
+    EXPECT_EQ(dpif_raw->ct().size(), 128u);
+    EXPECT_EQ(vswitch->upcalls_handled(), upcalls);
+    EXPECT_EQ(dpif_raw->flow_count(), megaflows);
+    // +new: classify/ct, ACL/commit, egress; +est: ACL straight to egress.
+    EXPECT_EQ(upcalls, 4u);
+    EXPECT_EQ(megaflows, 4u);
+}
+
+TEST_F(NsxTest, RankingTicksLeaveVerdictsUnchanged)
+{
+    // The same traffic through two identical deployments, one of them
+    // clocked every 4 packets so its megaflow subtables are re-ranked
+    // throughout; every packet gets the same verdict on both.
+    NsxRig ticked;
+    NsxRig& plain = *this;
+    gen::Sink sink_plain, sink_ticked;
+    gen::bind_udp_sink(plain.vm_b->kernel().stack(), 7777, sink_plain);
+    gen::bind_udp_sink(ticked.vm_b->kernel().stack(), 7777, sink_ticked);
+    const std::uint32_t sources[] = {ipv4(10, 1, 0, 10), ipv4(48, 0, 0, 7),
+                                     ipv4(203, 0, 113, 9), ipv4(100, 2, 0, 1),
+                                     ipv4(169, 254, 3, 3)};
+    sim::Rng rng(7);
+    std::uint64_t delivered = 0;
+    for (int i = 0; i < 600; ++i) {
+        const std::uint32_t src = sources[rng.below(std::size(sources))];
+        const auto sport = static_cast<std::uint16_t>(rng.below(2) ? 68 : 1000 + rng.below(40));
+        for (NsxRig* rig : {&plain, &ticked}) {
+            rig->send_from(src, sport, 7777);
+            rig->dpif_raw->pmd_poll_once(rig->pmd);
+        }
+        if (i % 4 == 3) {
+            ticked.dpif_raw->set_now(static_cast<sim::Nanos>(i / 4 + 1)
+                                     << kern::TimerWheel<std::uint64_t>::kDefaultTickShift);
+        }
+        ASSERT_EQ(sink_ticked.packets, sink_plain.packets) << "packet " << i;
+        delivered = sink_plain.packets;
+    }
+    EXPECT_GT(delivered, 100u);
+    EXPECT_LT(delivered, 500u);
+    EXPECT_EQ(ticked.vswitch->upcalls_handled(), plain.vswitch->upcalls_handled());
+    // A rerank that moves a subtable bumps the megaflow epoch: the
+    // ticks did reorder the cache.
+    EXPECT_GT(ticked.dpif_raw->megaflow().epoch(), plain.dpif_raw->megaflow().epoch() + 100);
 }
 
 } // namespace

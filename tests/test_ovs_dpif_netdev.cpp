@@ -6,6 +6,7 @@
 #include "kern/kernel.h"
 #include "kern/nic.h"
 #include "kern/stack.h"
+#include "kern/timer_wheel.h"
 #include "net/builder.h"
 #include "net/headers.h"
 #include "obs/appctl.h"
@@ -125,6 +126,32 @@ TEST_F(DpifNetdevTest, UpcallInstallsAndForwards)
     dpif->pmd_poll_once(pmd);
     EXPECT_EQ(upcalls, 1); // megaflow covered the new microflow
     EXPECT_EQ(out1.size(), 2u);
+}
+
+TEST_F(DpifNetdevTest, SetNowRanksHotMaskFirst)
+{
+    // Three cold masks are installed before the hot one, so the hot
+    // flow is probed last until a set_now quantum re-ranks the
+    // subtables by hits.
+    dpif->set_emc_insert_inv_prob(1u << 30); // keep the EMC out of the way
+    for (int m = 0; m < 3; ++m) {
+        net::FlowMask mask = port_mask();
+        mask.bits.tp_dst = 0xffff;
+        mask.bits.nw_src = 0xffffff00u << m;
+        dpif->flow_put(key_on_port(p1), mask, {kern::OdpAction::drop()});
+    }
+    dpif->flow_put(key_on_port(p0), port_mask(), {kern::OdpAction::output(p1)});
+    for (std::uint16_t i = 0; i < 8; ++i) nic0->rx_from_wire(udp64(i));
+    while (dpif->pmd_poll_once(pmd) > 0) {
+    }
+    EXPECT_EQ(out1.size(), 8u);
+
+    const net::FlowKey hot = key_on_port(p0);
+    EXPECT_EQ(dpif->megaflow().lookup(hot).probes, 4);
+    dpif->set_now(1); // same quantum as the start: no ranking yet
+    EXPECT_EQ(dpif->megaflow().lookup(hot).probes, 4);
+    dpif->set_now(sim::Nanos{1} << kern::TimerWheel<std::uint64_t>::kDefaultTickShift);
+    EXPECT_EQ(dpif->megaflow().lookup(hot).probes, 1);
 }
 
 TEST_F(DpifNetdevTest, RecirculationThroughCt)

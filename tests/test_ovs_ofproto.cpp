@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "kern/kernel.h"
 #include "net/builder.h"
 #include "net/headers.h"
+#include "nsx/nsx.h"
+#include "ovs/dpif_netdev.h"
 #include "ovs/ofproto.h"
+#include "ovs/vswitch.h"
+#include "sim/rng.h"
 
 namespace ovsx::ovs {
 namespace {
@@ -102,6 +110,258 @@ TEST(Ofproto, WildcardsCoverProbedMasks)
     EXPECT_EQ(res.actions[0].port, 2u);
     EXPECT_EQ(res.wildcards.bits.tp_dst, 0xffff);
     EXPECT_EQ(res.wildcards.bits.in_port, 0xffffffffu);
+}
+
+TEST(Ofproto, HigherPrioritySubtableHitLeavesLowerMasksWildcarded)
+{
+    Ofproto of;
+    // Added low priority first: the probe order follows priority, not
+    // insertion, so the tp_dst subtable is never reached.
+    Match specific = match_in_port(1);
+    specific.key.tp_dst = 443;
+    specific.mask.bits.tp_dst = 0xffff;
+    of.add_rule({.table = 0, .priority = 1, .match = specific,
+                 .actions = {OfAction::drop()}});
+    of.add_rule({.table = 0, .priority = 100, .match = match_in_port(1),
+                 .actions = {OfAction::output(2)}});
+
+    const auto res = of.xlate(udp_key(1, 443));
+    ASSERT_EQ(res.actions.size(), 1u);
+    EXPECT_EQ(res.actions[0].port, 2u);
+    EXPECT_EQ(res.wildcards.bits.tp_dst, 0);
+    EXPECT_EQ(res.wildcards.bits.in_port, 0xffffffffu);
+}
+
+// ---- classifier properties on a random multi-table ruleset ------------
+
+// Rules over a handful of mask shapes, with key values from small pools
+// so that masks overlap and most keys match something. Priorities are
+// distinct within a table (no ties), and every rule outputs to its own
+// port, so the output sequence names the rule chosen in each table.
+struct RandomRuleset {
+    static constexpr int kTables = 4;
+    static constexpr int kRulesPerTable = 40;
+
+    explicit RandomRuleset(std::uint64_t seed) : rng(seed)
+    {
+        for (int t = 0; t < kTables; ++t) {
+            std::vector<std::int32_t> prio(kRulesPerTable);
+            for (int i = 0; i < kRulesPerTable; ++i) prio[static_cast<std::size_t>(i)] = 1 + 3 * i;
+            for (std::size_t i = prio.size() - 1; i > 0; --i) {
+                std::swap(prio[i], prio[rng.below(i + 1)]);
+            }
+            for (int i = 0; i < kRulesPerTable; ++i) {
+                OfRule rule;
+                rule.table = static_cast<std::uint8_t>(t);
+                rule.priority = prio[static_cast<std::size_t>(i)];
+                rule.match.mask = random_mask();
+                rule.match.key = random_key();
+                rule.actions.push_back(OfAction::output(static_cast<std::uint32_t>(100 * t + i)));
+                if (t + 1 < kTables && rng.below(2) == 0) {
+                    const auto next = t + 1 + static_cast<int>(rng.below(
+                                                  static_cast<std::uint64_t>(kTables - t - 1)));
+                    rule.actions.push_back(OfAction::goto_table(static_cast<std::uint8_t>(next)));
+                }
+                rules.push_back(rule);
+                of.add_rule(rule);
+            }
+        }
+    }
+
+    net::FlowMask random_mask()
+    {
+        net::FlowMask m;
+        switch (rng.below(6)) {
+        case 0: m.bits.in_port = 0xffffffff; break;
+        case 1: m.bits.nw_src = 0xff000000; break;
+        case 2: m.bits.nw_src = 0xffffff00; m.bits.tp_dst = 0xffff; break;
+        case 3: m.bits.nw_dst = 0xffffffff; m.bits.nw_proto = 0xff; break;
+        case 4: m.bits.in_port = 0xffffffff; m.bits.tcp_flags = 0x02; break;
+        default: m.bits.tp_dst = 0xffff; m.bits.nw_proto = 0xff; break;
+        }
+        return m;
+    }
+
+    net::FlowKey random_key()
+    {
+        net::FlowKey k;
+        k.in_port = 1 + static_cast<std::uint32_t>(rng.below(3));
+        k.nw_src = ipv4(10, static_cast<std::uint8_t>(rng.below(3)), 0,
+                        static_cast<std::uint8_t>(rng.below(4)));
+        k.nw_dst = ipv4(20, 0, 0, static_cast<std::uint8_t>(rng.below(4)));
+        k.nw_proto = rng.below(2) ? 6 : 17;
+        k.tp_dst = static_cast<std::uint16_t>(80 + rng.below(3));
+        k.tcp_flags = static_cast<std::uint8_t>(rng.below(2) ? 0x02 : 0x10);
+        return k;
+    }
+
+    // Exhaustive reference: the highest-priority matching rule of each
+    // table, found by scanning every rule; ports in visit order.
+    std::vector<std::uint32_t> reference(const net::FlowKey& key, bool* dropped) const
+    {
+        std::vector<std::uint32_t> ports;
+        int table = 0;
+        *dropped = false;
+        for (;;) {
+            const OfRule* best = nullptr;
+            for (const OfRule& r : rules) {
+                if (r.table == table && r.match.mask.same_masked(key, r.match.key) &&
+                    (!best || r.priority > best->priority)) {
+                    best = &r;
+                }
+            }
+            if (!best) {
+                *dropped = true;
+                return ports;
+            }
+            ports.push_back(best->actions[0].port);
+            if (best->actions.size() == 1) return ports;
+            table = best->actions[1].table;
+        }
+    }
+
+    sim::Rng rng;
+    std::vector<OfRule> rules;
+    Ofproto of;
+};
+
+// `key` with every bit outside `wildcards` taken from `other`.
+net::FlowKey perturb_outside(const net::FlowKey& key, const net::FlowMask& wildcards,
+                             const net::FlowKey& other)
+{
+    net::FlowKey out = key;
+    auto* o = reinterpret_cast<std::uint8_t*>(&out);
+    const auto* w = reinterpret_cast<const std::uint8_t*>(&wildcards.bits);
+    const auto* x = reinterpret_cast<const std::uint8_t*>(&other);
+    for (std::size_t i = 0; i < sizeof out; ++i) {
+        o[i] = static_cast<std::uint8_t>((o[i] & w[i]) | (x[i] & ~w[i]));
+    }
+    return out;
+}
+
+TEST(OfprotoProperty, EarlyExitPicksTheExhaustiveScanRule)
+{
+    RandomRuleset rs(11);
+    int matched = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const net::FlowKey key = rs.random_key();
+        bool dropped = false;
+        const std::vector<std::uint32_t> want = rs.reference(key, &dropped);
+        const XlateResult res = rs.of.xlate(key);
+        std::vector<std::uint32_t> got;
+        for (const auto& a : res.actions) got.push_back(a.port);
+        ASSERT_EQ(got, want) << key.to_string();
+        ASSERT_EQ(res.dropped, dropped || want.empty()) << key.to_string();
+        matched += want.empty() ? 0 : 1;
+    }
+    EXPECT_GT(matched, 2000); // the key pools keep the ruleset busy
+}
+
+TEST(OfprotoProperty, WildcardedBitsNeverChangeTheTranslation)
+{
+    RandomRuleset rs(12);
+    for (int i = 0; i < 2000; ++i) {
+        const net::FlowKey key = rs.random_key();
+        const XlateResult res = rs.of.xlate(key);
+        for (int j = 0; j < 8; ++j) {
+            // Half the donors are keys the rules were drawn from, half
+            // are random bytes.
+            net::FlowKey donor = rs.random_key();
+            if (j % 2) {
+                auto* d = reinterpret_cast<std::uint8_t*>(&donor);
+                for (std::size_t b = 0; b < sizeof donor; ++b) d[b] = static_cast<std::uint8_t>(rs.rng.u32());
+            }
+            const net::FlowKey moved = perturb_outside(key, res.wildcards, donor);
+            const XlateResult again = rs.of.xlate(moved);
+            ASSERT_EQ(kern::actions_to_string(again.actions), kern::actions_to_string(res.actions))
+                << key.to_string() << " vs " << moved.to_string();
+            ASSERT_EQ(again.dropped, res.dropped) << key.to_string();
+        }
+    }
+}
+
+// ---- megaflow soundness on the NSX ruleset -------------------------------
+
+// Keys drawn from the values the NSX ruleset matches on (ports, VNIs,
+// VTEPs, MACs, allowed and ACL prefixes, the field-coverage values).
+net::FlowKey nsx_key(const nsx::NsxConfig& cfg, sim::Rng& rng)
+{
+    auto pick = [&](std::initializer_list<std::uint32_t> v) {
+        return *(v.begin() + rng.below(v.size()));
+    };
+    net::FlowKey k;
+    k.in_port = pick({1, 2, cfg.tunnel_of_port, 99});
+    k.tun_id = pick({0, 5001, 5002, 5003, 5004, 5005});
+    k.tun_src = rng.below(2) ? 0 : cfg.remote_vteps[rng.below(cfg.remote_vteps.size())];
+    k.tun_dst = rng.below(2) ? 0 : cfg.local_vtep_ip;
+    k.ct_state = static_cast<std::uint8_t>(
+        pick({0, net::kCtStateTracked | net::kCtStateNew,
+              net::kCtStateTracked | net::kCtStateEstablished,
+              net::kCtStateTracked | net::kCtStateInvalid,
+              net::kCtStateTracked | net::kCtStateRelated}));
+    k.ct_zone = static_cast<std::uint16_t>(
+        pick({0, 7, nsx::NsxAgent::zone_for_vni(5001), nsx::NsxAgent::zone_for_vni(5003)}));
+    k.ct_mark = pick({0, 1});
+    k.dl_src = rng.below(8) ? net::MacAddr::from_id(0x100) : net::MacAddr(0xde, 0xad, 0, 0, 0, 1);
+    k.dl_dst = rng.below(8) ? cfg.vms[rng.below(cfg.vms.size())].mac : net::MacAddr::broadcast();
+    k.dl_type = static_cast<std::uint16_t>(pick({0x0800, 0x0800, 0x86dd}));
+    k.vlan_tci = static_cast<std::uint16_t>(rng.below(8) ? 0 : 0x1fa0);
+    k.nw_src = pick({ipv4(10, 1, 0, 10), ipv4(48, 0, 3, 1), ipv4(16, 0, 0, 5),
+                     ipv4(192, 168, 1, 1), ipv4(169, 254, 9, 9), ipv4(203, 0, 113, 9),
+                     0x60000000u | (rng.u32() % 0x10000000u)});
+    k.nw_dst = pick({ipv4(10, 1, 0, 11), ipv4(16, 0, 0, 1),
+                     0x70000000u | (rng.u32() % 0x10000000u)});
+    k.nw_proto = static_cast<std::uint8_t>(pick({6, 17, 1}));
+    k.nw_tos = static_cast<std::uint8_t>(rng.below(8) ? 0 : 0xb8);
+    k.nw_ttl = static_cast<std::uint8_t>(rng.below(8) ? 64 : 1);
+    k.nw_frag = static_cast<std::uint8_t>(rng.below(8) ? 0 : net::kFragAny);
+    k.ipv6_src.bytes[0] = static_cast<std::uint8_t>(rng.below(2) ? 0 : 0xfd);
+    k.ipv6_dst.bytes[0] = static_cast<std::uint8_t>(rng.below(2) ? 0 : 0xfd);
+    k.tp_src = static_cast<std::uint16_t>(rng.below(4) ? 1024 + rng.below(100) : 68);
+    k.tp_dst = static_cast<std::uint16_t>(rng.below(2) ? 7777 : rng.u16());
+    k.tcp_flags = static_cast<std::uint8_t>(pick({0, net::kTcpSyn, net::kTcpAck}));
+    k.icmp_type = static_cast<std::uint8_t>(pick({0, 8}));
+    return k;
+}
+
+TEST(OfprotoProperty, NsxRulesetWildcardsAreSound)
+{
+    // The same soundness check over a 20k-rule NSX ruleset, following
+    // recirculation through all three passes. Translation needs no
+    // datapath ports, so the config just names some.
+    kern::Kernel host("host");
+    VSwitch vswitch(std::make_unique<DpifNetdev>(host));
+    nsx::NsxConfig cfg = nsx::make_production_config(ipv4(172, 16, 0, 1), /*tunnel_of_port=*/3,
+                                                     {1, 2}, /*local_vm_count=*/1);
+    cfg.target_rules = 20000;
+    nsx::NsxAgent agent(vswitch, cfg);
+    agent.deploy();
+    const Ofproto& of = vswitch.ofproto();
+    sim::Rng rng(2021);
+    int recirculated = 0;
+    for (int i = 0; i < 3000; ++i) {
+        net::FlowKey key = nsx_key(cfg, rng);
+        for (int pass = 0; pass < 3; ++pass) {
+            const XlateResult res = of.xlate(key);
+            for (int j = 0; j < 6; ++j) {
+                const net::FlowKey moved = perturb_outside(key, res.wildcards, nsx_key(cfg, rng));
+                const XlateResult again = of.xlate(moved);
+                ASSERT_EQ(kern::actions_to_string(again.actions),
+                          kern::actions_to_string(res.actions))
+                    << key.to_string() << " vs " << moved.to_string();
+                ASSERT_EQ(again.dropped, res.dropped) << key.to_string();
+            }
+            if (res.actions.empty() || res.actions.back().type != kern::OdpAction::Type::Recirc) {
+                break;
+            }
+            // Next pass: the recirculated key with a conntrack verdict.
+            ++recirculated;
+            key.recirc_id = res.actions.back().recirc_id;
+            key.ct_state = nsx_key(cfg, rng).ct_state;
+            key.ct_zone = res.actions[res.actions.size() - 2].ct.zone;
+        }
+    }
+    EXPECT_GT(recirculated, 500);
 }
 
 TEST(Ofproto, CtRecirculationSplitsTranslation)
