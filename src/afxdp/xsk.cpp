@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "net/billing.h"
 #include "obs/coverage.h"
-#include "obs/trace.h"
 #include "san/frame_tracker.h"
 
 namespace ovsx::afxdp {
@@ -16,10 +16,7 @@ bool XskSocket::kernel_deliver(const net::Packet& pkt, const sim::CostModel& cos
     OVSX_COVERAGE_CTX(softirq, "xsk.fill_consume");
     if (!fill) {
         ++rx_dropped_no_frame;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::XskRx, pkt.meta().latency_ns,
-                       "no-frame");
-        }
+        net::trace(pkt, obs::Hop::XskRx, "no-frame");
         return false;
     }
     san::frame_transition(umem_.san_scope(), *fill, san::FrameState::KernelRx, OVSX_SITE);
@@ -40,10 +37,7 @@ bool XskSocket::kernel_deliver(const net::Packet& pkt, const sim::CostModel& cos
     OVSX_COVERAGE_CTX(softirq, "xsk.rx_produce");
     if (!rx_.produce(desc)) {
         ++rx_dropped_ring_full;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::XskRx, pkt.meta().latency_ns,
-                       "ring-full");
-        }
+        net::trace(pkt, obs::Hop::XskRx, "ring-full");
         // Frame is lost to the fill ring until userspace replenishes;
         // give it back immediately to keep the model conservative.
         san::frame_transition(umem_.san_scope(), *fill, san::FrameState::FillRing,
@@ -53,10 +47,7 @@ bool XskSocket::kernel_deliver(const net::Packet& pkt, const sim::CostModel& cos
     }
     san::frame_transition(umem_.san_scope(), *fill, san::FrameState::RxRing, OVSX_SITE);
     ++rx_delivered;
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::XskRx, pkt.meta().latency_ns,
-                   "delivered", *fill);
-    }
+    net::trace(pkt, obs::Hop::XskRx, "delivered", *fill);
     return true;
 }
 

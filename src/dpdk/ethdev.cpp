@@ -1,6 +1,7 @@
 #include "dpdk/ethdev.h"
 
 #include "kern/kernel.h"
+#include "net/billing.h"
 #include "obs/coverage.h"
 #include "obs/perf.h"
 
@@ -31,8 +32,7 @@ std::uint32_t EthDev::rx_burst(std::uint32_t queue, std::vector<net::Packet>& ou
     auto& q = queues_[queue < queues_.size() ? queue : 0];
     std::uint32_t n = 0;
     while (n < max && !q.empty()) {
-        pmd.charge(costs.dpdk_rx_desc + costs.mbuf_op);
-        q.front().meta().latency_ns += costs.dpdk_rx_desc + costs.mbuf_op;
+        net::charge(pmd, q.front(), costs.dpdk_rx_desc + costs.mbuf_op);
         out.push_back(std::move(q.front()));
         q.pop_front();
         ++n;
@@ -56,8 +56,7 @@ void EthDev::tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
     const auto& costs = nic_.kernel().costs();
     if (pkts.empty()) return;
     for (auto& pkt : pkts) {
-        pmd.charge(costs.dpdk_tx_desc + costs.mbuf_op);
-        pkt.meta().latency_ns += costs.dpdk_tx_desc + costs.mbuf_op;
+        net::charge(pmd, pkt, costs.dpdk_tx_desc + costs.mbuf_op);
         nic_.hw_transmit(std::move(pkt));
     }
     // One TX doorbell per burst (the per-packet variant is what the

@@ -89,6 +89,14 @@ struct Fabric::Impl {
         std::uint64_t ba = 0;
         sim::Nanos extra_ab = 0;
         sim::Nanos extra_ba = 0;
+
+        // One frame crossing the link in one direction. The extra delay
+        // is wire time: the packet waits for it, no CPU pays for it.
+        static void cross(std::uint64_t& frames, sim::Nanos extra, net::Packet& p)
+        {
+            ++frames;
+            p.meta().latency_ns += extra;
+        }
     };
 
     struct Host {
@@ -99,7 +107,6 @@ struct Fabric::Impl {
         kern::PhysicalDevice* uplink = nullptr;
         std::unique_ptr<ovs::VSwitch> vswitch;  // netdev + kernel providers
         ovs::DpifNetdev* netdev = nullptr;      // borrowed from vswitch
-        kern::OvsKernelDatapath* kdp = nullptr; // borrowed from kernel
         std::unique_ptr<ovs::DpifEbpf> ebpf;
         std::unique_ptr<obs::Appctl> ebpf_appctl;
         std::unique_ptr<nsx::NsxAgent> nsx;
@@ -107,6 +114,8 @@ struct Fabric::Impl {
         std::uint32_t vm_port = 0;
         std::uint32_t uplink_port = 0;
         std::uint32_t tunnel_port = 0;
+
+        ovs::Dpif& dpif() { return vswitch ? vswitch->dpif() : *ebpf; }
     };
 
     // A transit (leaf or spine) switch: always the netdev provider, an
@@ -213,7 +222,7 @@ struct Fabric::Impl {
             dpif->add_port(std::make_unique<ovs::NetdevAfxdp>(*host.uplink, afxdp_opts()));
         host.tunnel_port =
             dpif->add_tunnel_port("geneve0", net::TunnelType::Geneve, vtep_ip(host.index));
-        ovs::DpifNetdev::IntConfig ic;
+        kern::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = host_switch_id(host.index);
         ic.tier = net::kIntTierHost;
@@ -230,14 +239,13 @@ struct Fabric::Impl {
     void build_kernel_host(Host& host)
     {
         auto& dp = host.kernel->ovs_datapath();
-        host.kdp = &dp;
         host.vm_port = dp.add_port(*host.vm_dev);
         // The uplink is deliberately NOT a datapath port: outer Geneve
         // frames land in the IP stack, whose UDP 6081 binding feeds the
         // tunnel vport (the classic kernel tunnel path).
         host.tunnel_port =
             dp.add_tunnel_port("geneve0", net::TunnelType::Geneve, vtep_ip(host.index));
-        kern::OvsKernelDatapath::IntConfig ic;
+        kern::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = host_switch_id(host.index);
         ic.tier = net::kIntTierHost;
@@ -334,7 +342,7 @@ struct Fabric::Impl {
         t->kernel = std::make_unique<kern::Kernel>(name);
         auto dpif = std::make_unique<ovs::DpifNetdev>(*t->kernel);
         t->dpif = dpif.get();
-        ovs::DpifNetdev::IntConfig ic;
+        kern::IntConfig ic;
         ic.enabled = cfg.int_enabled;
         ic.switch_id = switch_id;
         ic.tier = tier;
@@ -381,13 +389,11 @@ struct Fabric::Impl {
 
             host->uplink->connect_wire([this, host, link, leaf_dev](net::Packet&& p) {
                 if (host->provider == HostProvider::Ebpf) shim_egress(*host, p);
-                ++link->ab;
-                p.meta().latency_ns += link->extra_ab;
+                LinkState::cross(link->ab, link->extra_ab, p);
                 leaf_dev->rx_from_wire(std::move(p));
             });
             leaf_dev->connect_wire([this, host, link](net::Packet&& p) {
-                ++link->ba;
-                p.meta().latency_ns += link->extra_ba;
+                LinkState::cross(link->ba, link->extra_ba, p);
                 if (host->provider == HostProvider::Ebpf && !shim_ingress(*host, p)) return;
                 host->uplink->rx_from_wire(std::move(p));
             });
@@ -414,13 +420,11 @@ struct Fabric::Impl {
                 }
                 LinkState* link = add_link(leaf->name, spine->name);
                 leaf_dev->connect_wire([link, spine_dev](net::Packet&& p) {
-                    ++link->ab;
-                    p.meta().latency_ns += link->extra_ab;
+                    LinkState::cross(link->ab, link->extra_ab, p);
                     spine_dev->rx_from_wire(std::move(p));
                 });
                 spine_dev->connect_wire([link, leaf_dev](net::Packet&& p) {
-                    ++link->ba;
-                    p.meta().latency_ns += link->extra_ba;
+                    LinkState::cross(link->ba, link->extra_ba, p);
                     leaf_dev->rx_from_wire(std::move(p));
                 });
             }
@@ -489,11 +493,7 @@ struct Fabric::Impl {
     void tick()
     {
         now += kTickNs;
-        for (auto& h : hosts) {
-            if (h->netdev) h->netdev->set_now(now);
-            if (h->kdp) h->kdp->set_now(now);
-            if (h->ebpf) h->ebpf->set_now(now);
-        }
+        for (auto& h : hosts) h->dpif().set_now(now);
         for (auto& l : leaves) l->dpif->set_now(now);
         for (auto& s : spines) s->dpif->set_now(now);
     }

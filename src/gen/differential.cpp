@@ -273,21 +273,12 @@ struct DifferentialHarness::Instance {
     ovs::Dpif* dpif = nullptr;
     int pmd = -1;
 
-    void set_now(sim::Nanos now)
-    {
-        switch (kind) {
-        case DpKind::Netdev: netdev->set_now(now); break;
-        case DpKind::Kernel: kdp->set_now(now); break;
-        case DpKind::Ebpf: ebpf->set_now(now); break;
-        }
-    }
-
     // Enqueues one packet into the NIC without draining: the kernel and
     // eBPF datapaths process synchronously inside rx_from_wire; the
     // netdev datapath leaves it on the rxq until drain().
     void enqueue(const DiffPacket& step, sim::Nanos now, std::uint32_t trace_id)
     {
-        set_now(now);
+        dpif->set_now(now);
         // All instrumentation this instance records while processing the
         // packet lands under this provider's domain tag, so a divergent
         // packet's journeys can be dumped side by side.

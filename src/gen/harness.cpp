@@ -11,6 +11,7 @@
 #include "kern/stack.h"
 #include "kern/tap.h"
 #include "kern/veth.h"
+#include "net/billing.h"
 #include "ovs/dpif_ebpf.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/netdev_dpdk.h"
@@ -297,8 +298,7 @@ void install_vhost_bounce(kern::VhostUserChannel& chan, sim::ExecContext& vcpu,
     kern::VhostUserChannel* c = &chan;
     sim::ExecContext* ctx = &vcpu;
     chan.set_guest_rx([c, ctx, guest_fwd_ns](net::Packet&& pkt, sim::ExecContext&) {
-        ctx->charge(sim::CpuClass::Guest, guest_fwd_ns);
-        pkt.meta().latency_ns += guest_fwd_ns;
+        net::charge(*ctx, sim::CpuClass::Guest, pkt, guest_fwd_ns);
         c->guest_tx(std::move(pkt), *ctx);
     });
 }
@@ -345,9 +345,8 @@ RateReport pvp_userspace(const PvpConfig& cfg)
         tap->set_fd_rx([tap_ptr, vcpu_ptr, qemu_ptr, guest_fwd](net::Packet&& pkt,
                                                                 sim::ExecContext&) {
             // QEMU read + guest forwarding + QEMU write-back.
-            qemu_ptr->charge(sim::CpuClass::System, 520);
-            vcpu_ptr->charge(sim::CpuClass::Guest, guest_fwd);
-            pkt.meta().latency_ns += 520 + guest_fwd;
+            net::charge(*qemu_ptr, sim::CpuClass::System, pkt, 520);
+            net::charge(*vcpu_ptr, sim::CpuClass::Guest, pkt, guest_fwd);
             tap_ptr->fd_write(std::move(pkt), *qemu_ptr);
         });
         vm_port = dpif.add_port(std::make_unique<ovs::NetdevLinux>(*tap));
@@ -395,9 +394,8 @@ RateReport pvp_kernel(const PvpConfig& cfg)
     sim::ExecContext vcpu("vcpu", sim::CpuClass::Guest);
     sim::ExecContext qemu("qemu", sim::CpuClass::User);
     tap.set_fd_rx([&](net::Packet&& pkt, sim::ExecContext&) {
-        qemu.charge(sim::CpuClass::System, 520);
-        vcpu.charge(sim::CpuClass::Guest, cfg.guest_fwd_ns);
-        pkt.meta().latency_ns += 520 + cfg.guest_fwd_ns;
+        net::charge(qemu, sim::CpuClass::System, pkt, 520);
+        net::charge(vcpu, sim::CpuClass::Guest, pkt, cfg.guest_fwd_ns);
         tap.fd_write(std::move(pkt), qemu);
     });
 
@@ -448,8 +446,7 @@ void install_container_bounce(kern::VethDevice& inner, sim::ExecContext& app,
     sim::ExecContext* ret = &ret_softirq;
     inner.set_rx_handler([dev, app_ctx, ret, fwd_ns](kern::Device&, net::Packet&& pkt,
                                                      sim::ExecContext&) {
-        app_ctx->charge(sim::CpuClass::User, fwd_ns);
-        pkt.meta().latency_ns += fwd_ns;
+        net::charge(*app_ctx, sim::CpuClass::User, pkt, fwd_ns);
         dev->transmit(std::move(pkt), *ret);
     });
 }

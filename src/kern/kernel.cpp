@@ -4,6 +4,7 @@
 
 #include "kern/ovs_kmod.h"
 #include "kern/stack.h"
+#include "net/billing.h"
 #include "obs/coverage.h"
 
 namespace ovsx::kern {
@@ -101,15 +102,11 @@ afxdp::XskSocket* Kernel::xsk_for(ebpf::Map* map, std::uint32_t key)
 XdpVerdict Kernel::run_xdp(const ebpf::Program& prog, net::Packet& pkt, Device& dev,
                            std::uint32_t queue, sim::ExecContext& ctx)
 {
-    ctx.charge(costs_.xdp_setup);
+    net::charge(ctx, pkt, costs_.xdp_setup);
     auto res = vm_.run_xdp(prog, pkt, static_cast<std::uint32_t>(dev.ifindex()), queue);
-    ctx.charge(res.cost);
-    pkt.meta().latency_ns += costs_.xdp_setup + res.cost;
-    if (res.touched_packet) {
-        // First touch of a cold packet line (Table 5 task B effect).
-        ctx.charge(costs_.cache_miss);
-        pkt.meta().latency_ns += costs_.cache_miss;
-    }
+    net::charge(ctx, pkt, res.cost);
+    // First touch of a cold packet line (Table 5 task B effect).
+    if (res.touched_packet) net::charge(ctx, pkt, costs_.cache_miss);
     OVSX_COVERAGE_CTX(ctx, "xdp.run");
 
     switch (res.action) {
@@ -124,8 +121,7 @@ XdpVerdict Kernel::run_xdp(const ebpf::Program& prog, net::Packet& pkt, Device& 
         return XdpVerdict::Tx;
     case ebpf::XdpAction::Redirect: {
         if (!res.redirect_map) return XdpVerdict::Aborted;
-        ctx.charge(costs_.xdp_redirect);
-        pkt.meta().latency_ns += costs_.xdp_redirect;
+        net::charge(ctx, pkt, costs_.xdp_redirect);
         if (res.redirect_map->type() == ebpf::MapType::XskMap) {
             afxdp::XskSocket* sock = xsk_for(res.redirect_map, res.redirect_key);
             if (!sock) return XdpVerdict::Drop;

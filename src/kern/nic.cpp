@@ -5,10 +5,10 @@
 #include <stdexcept>
 
 #include "kern/kernel.h"
+#include "net/billing.h"
 #include "net/builder.h"
 #include "net/hash.h"
 #include "net/headers.h"
-#include "obs/trace.h"
 #include "san/packet_ledger.h"
 
 namespace ovsx::kern {
@@ -104,16 +104,13 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
     sim::ExecContext& ctx = softirq_[q];
     const auto& costs = kernel().costs();
 
-    ctx.charge(costs.nic_rx_desc);
-    pkt.meta().latency_ns += costs.nic_rx_desc;
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::NicRx, pkt.meta().latency_ns, name().c_str(),
-                   q);
-    }
+    net::charge(ctx, pkt, costs.nic_rx_desc);
+    net::trace(pkt, obs::Hop::NicRx, name().c_str(), q);
     if (interrupt_mode_) {
         // One interrupt per NAPI batch; the wakeup it causes is paid by
         // whoever sleeps on the data (stack socket or AF_XDP poller).
         if (irq_count_++ % kIrqBatch == 0) ctx.charge(costs.nic_irq);
+        // The CPU pays the irq once per batch; each packet waits 1/8 of it.
         pkt.meta().latency_ns += costs.nic_irq / kIrqBatch;
     }
 
@@ -127,10 +124,7 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
 
     if (const ebpf::Program* prog = xdp_program(q)) {
         const XdpVerdict verdict = kernel().run_xdp(*prog, pkt, *this, q, ctx);
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Xdp, pkt.meta().latency_ns,
-                       to_string(verdict), q);
-        }
+        net::trace(pkt, obs::Hop::Xdp, to_string(verdict), q);
         switch (verdict) {
         case XdpVerdict::Drop:
         case XdpVerdict::Aborted:
@@ -138,8 +132,7 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
             ++xdp_drops_;
             return;
         case XdpVerdict::Tx: {
-            ctx.charge(costs.nic_tx_desc + costs.xdp_tx_flush);
-            pkt.meta().latency_ns += costs.nic_tx_desc + costs.xdp_tx_flush;
+            net::charge(ctx, pkt, costs.nic_tx_desc + costs.xdp_tx_flush);
             san::skb_transition(pkt.san_id(), san::SkbState::Tx, OVSX_SITE);
             note_tx(pkt);
             to_wire(std::move(pkt));
@@ -163,12 +156,8 @@ void PhysicalDevice::rx_from_wire(net::Packet&& pkt, std::optional<std::uint32_t
     // RSS spreading one stack across CPUs, shared cachelines (flow
     // stats, slabs) bounce -- the kernel's "fast but not efficient"
     // behaviour in Fig. 9 / Table 4.
-    ctx.charge(costs.skb_alloc);
-    pkt.meta().latency_ns += costs.skb_alloc;
-    if (cfg_.num_queues > 1) {
-        ctx.charge(costs.kernel_smp_contention);
-        pkt.meta().latency_ns += costs.kernel_smp_contention;
-    }
+    net::charge(ctx, pkt, costs.skb_alloc);
+    if (cfg_.num_queues > 1) net::charge(ctx, pkt, costs.kernel_smp_contention);
     deliver_rx(std::move(pkt), ctx);
 }
 
@@ -215,8 +204,7 @@ void PhysicalDevice::tx_offloads(net::Packet& pkt, sim::ExecContext& ctx, bool c
             net::refresh_l4_csum(pkt, sizeof(net::EthernetHeader));
         } else if (charge_sw) {
             net::refresh_l4_csum(pkt, sizeof(net::EthernetHeader));
-            ctx.charge(costs.csum(static_cast<std::int64_t>(pkt.size())));
-            pkt.meta().latency_ns += costs.csum(static_cast<std::int64_t>(pkt.size()));
+            net::charge(ctx, pkt, costs.csum(static_cast<std::int64_t>(pkt.size())));
         }
         pkt.meta().csum_tx_offload = false;
     }
@@ -272,9 +260,7 @@ void PhysicalDevice::transmit(net::Packet&& pkt, sim::ExecContext& ctx)
         ++stats().tx_dropped; // the kernel no longer owns this device
         return;
     }
-    const auto& costs = kernel().costs();
-    ctx.charge(costs.nic_tx_desc);
-    pkt.meta().latency_ns += costs.nic_tx_desc;
+    net::charge(ctx, pkt, kernel().costs().nic_tx_desc);
     tx_offloads(pkt, ctx, /*charge_sw=*/true);
     san::skb_transition(pkt.san_id(), san::SkbState::Tx, OVSX_SITE);
     note_tx(pkt);

@@ -6,12 +6,12 @@
 #include "kern/kernel.h"
 #include "kern/stack.h"
 #include "kern/timer_wheel.h"
+#include "net/billing.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
 #include "obs/perf.h"
-#include "obs/trace.h"
 #include "san/audit.h"
 #include "san/packet_ledger.h"
 
@@ -247,31 +247,16 @@ OvsKernelDatapath::LookupResult OvsKernelDatapath::lookup(const net::FlowKey& ke
 
 void OvsKernelDatapath::receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
 {
-    obs::PmdPerf* perf = ctx.perf();
-    // A solo receive (not under receive_batch) is its own profiler
-    // iteration of one packet; recirculation still counts extra
-    // classifier passes, matching pmd-stats-show hits+misses.
-    if (!perf || perf->in_iteration()) {
-        receive_one(port_no, std::move(pkt), ctx);
-        return;
-    }
-    const std::uint64_t classified_before = hits_ + misses_;
-    perf->begin_iteration();
-    receive_one(port_no, std::move(pkt), ctx);
-    perf->end_iteration(hits_ + misses_ - classified_before);
-}
-
-void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
-                                    sim::ExecContext& ctx)
-{
     const auto& costs = kernel_.costs();
     obs::PmdPerf* perf = ctx.perf();
+    // A solo receive (not under receive_batch) is its own profiler
+    // iteration of one packet.
+    obs::PerfIterationScope iteration(perf, [this] { return hits_ + misses_; });
     san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
     {
         obs::PerfStageScope rx(perf, obs::PerfStage::RxPoll);
-        ctx.charge(costs.kdp_base);
+        net::charge(ctx, pkt, costs.kdp_base);
     }
-    pkt.meta().latency_ns += costs.kdp_base;
     pkt.meta().in_port = port_no;
 
     const net::FlowKey key = net::parse_flow(pkt);
@@ -280,14 +265,12 @@ void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
         obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
         res = lookup(key, ctx);
     }
+    // lookup() charged the probes to the CPU; the main path bills them here.
     pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs.kdp_flow_probe;
     if (res.actions) {
         ++hits_;
         OVSX_COVERAGE_CTX(ctx, "kdp.hit");
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::KernelFlow, pkt.meta().latency_ns,
-                       "hit", res.probes);
-        }
+        net::trace(pkt, obs::Hop::KernelFlow, "hit", res.probes);
         // The shared reference keeps the actions alive even if execution
         // installs a replacement flow and re-enters.
         execute(std::move(pkt), *res.actions, ctx);
@@ -296,22 +279,17 @@ void OvsKernelDatapath::receive_one(std::uint32_t port_no, net::Packet&& pkt,
     ++misses_;
     OVSX_COVERAGE_CTX(ctx, "kdp.miss");
     if (perf) perf->note_upcall();
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::KernelFlow, pkt.meta().latency_ns, "miss",
-                   res.probes);
-    }
+    net::trace(pkt, obs::Hop::KernelFlow, "miss", res.probes);
     if (!upcall_) {
         ++lost_;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns, "lost");
-        }
+        net::trace(pkt, obs::Hop::Drop, "lost");
         return;
     }
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Upcall, pkt.meta().latency_ns, "");
-    }
+    net::trace(pkt, obs::Hop::Upcall, "");
     obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
-    ctx.charge(costs.upcall / 10); // kernel-side upcall enqueue share
+    // Kernel-side upcall enqueue share: CPU only, the packet's wait for
+    // userspace is not modelled.
+    ctx.charge(costs.upcall / 10);
     upcall_(port_no, std::move(pkt), key, ctx);
 }
 
@@ -319,19 +297,15 @@ void OvsKernelDatapath::receive_batch(std::uint32_t port_no, std::vector<net::Pa
                                       sim::ExecContext& ctx)
 {
     if (pkts.empty()) return;
-    obs::PmdPerf* perf = ctx.perf();
-    const bool iterate = perf && !perf->in_iteration();
-    const std::uint64_t classified_before = hits_ + misses_;
-    if (iterate) perf->begin_iteration();
+    obs::PerfIterationScope iteration(ctx.perf(), [this] { return hits_ + misses_; });
     OVSX_COVERAGE_CTX(ctx, "batch.flush");
     OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", pkts.size());
     last_batch_occupancy_ =
         static_cast<std::uint16_t>(std::min<std::size_t>(pkts.size(), 0xffff));
     for (auto& pkt : pkts) {
-        receive_one(port_no, std::move(pkt), ctx);
+        receive(port_no, std::move(pkt), ctx);
     }
     pkts.clear();
-    if (iterate) perf->end_iteration(hits_ + misses_ - classified_before);
 }
 
 void OvsKernelDatapath::tunnel_rx(net::Packet&& pkt, const net::FlowKey& key,
@@ -357,17 +331,12 @@ void OvsKernelDatapath::do_output(net::Packet&& pkt, std::uint32_t port_no,
 {
     const Vport* vport = port(port_no);
     if (!vport) {
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                       "no-such-port", port_no);
-        }
+        net::trace(pkt, obs::Hop::Drop, "no-such-port", port_no);
         return;
     }
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Tx, pkt.meta().latency_ns, "", port_no);
-    }
+    net::trace(pkt, obs::Hop::Tx, "", port_no);
     if (vport->dev) {
-        if (int_cfg_.enabled) maybe_int_stamp(pkt, ctx);
+        if (int_cfg_.enabled) int_stamp(pkt, int_cfg_, last_batch_occupancy_, kernel_.costs(), ctx);
         obs::PerfStageScope tx(ctx.perf(), obs::PerfStage::Tx);
         vport->dev->transmit(std::move(pkt), ctx);
         return;
@@ -398,27 +367,10 @@ void OvsKernelDatapath::do_output(net::Packet&& pkt, std::uint32_t port_no,
             *vport->tunnel == net::TunnelType::Geneve) {
             net::int_attach(pkt, int_cfg_.max_hops);
         }
-        if (int_cfg_.enabled) maybe_int_stamp(pkt, ctx);
+        if (int_cfg_.enabled) int_stamp(pkt, int_cfg_, last_batch_occupancy_, costs, ctx);
         obs::PerfStageScope tx(ctx.perf(), obs::PerfStage::Tx);
         out->transmit(std::move(pkt), ctx);
         return;
-    }
-}
-
-void OvsKernelDatapath::maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx)
-{
-    net::IntHop hop;
-    hop.switch_id = int_cfg_.switch_id;
-    hop.ingress_tier = int_cfg_.tier;
-    hop.egress_tier = int_cfg_.tier;
-    hop.occupancy = last_batch_occupancy_;
-    hop.latency_ticks = static_cast<std::uint32_t>(pkt.meta().latency_ns / net::kIntTickNs);
-    if (net::int_stamp(pkt, hop)) {
-        OVSX_COVERAGE_CTX(ctx, "int.stamped");
-        const auto c =
-            kernel_.costs().copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
-        ctx.charge(c);
-        pkt.meta().latency_ns += c;
     }
 }
 
@@ -463,21 +415,17 @@ void OvsKernelDatapath::execute(net::Packet&& pkt, const OdpActions& actions,
             obs::PerfStageScope ct_scope(perf, obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
             kernel_.conntrack().process(pkt, key, act.ct, ctx, now_);
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns, "",
-                           act.ct.zone, pkt.meta().ct_state);
-            }
+            net::trace(pkt, obs::Hop::Ct, "", act.ct.zone, pkt.meta().ct_state);
             break;
         }
         case OdpAction::Type::Recirc: {
             pkt.meta().recirc_id = act.recirc_id;
             const net::FlowKey key = net::parse_flow(pkt);
-            ctx.charge(costs.kdp_base / 2); // recirculation re-entry
-            pkt.meta().latency_ns += costs.kdp_base / 2;
+            net::charge(ctx, pkt, costs.kdp_base / 2); // recirculation re-entry
             LookupResult res;
             {
                 obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-                res = lookup(key, ctx);
+                res = lookup(key, ctx); // probes: CPU only on this path
             }
             if (res.actions) {
                 ++hits_;

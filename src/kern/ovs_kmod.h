@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "kern/device.h"
+#include "kern/int_sink.h"
 #include "kern/meter.h"
 #include "kern/odp.h"
 #include "net/flow.h"
@@ -113,16 +114,9 @@ public:
     void execute(net::Packet&& pkt, const OdpActions& actions, sim::ExecContext& ctx);
 
     // ---- in-band telemetry (INT) ---------------------------------------
-    // Same semantics as DpifNetdev::IntConfig: attach the Geneve INT
+    // Same semantics as DpifNetdev::set_int: attach the Geneve INT
     // option at encap, stamp one hop record per transmitted frame that
     // carries the option, pop+export at tunnel decap.
-    struct IntConfig {
-        bool enabled = false;
-        std::uint32_t switch_id = 0;
-        std::uint8_t tier = 0; // net::kIntTier{Host,Leaf,Spine}
-        std::uint8_t max_hops = 8;
-        bool attach_on_encap = true;
-    };
     void set_int(const IntConfig& cfg) { int_cfg_ = cfg; }
     const IntConfig& int_config() const { return int_cfg_; }
 
@@ -156,13 +150,8 @@ private:
     };
 
     LookupResult lookup(const net::FlowKey& key, sim::ExecContext& ctx);
-    // receive() minus the profiler iteration bracket (receive_batch
-    // opens one iteration for the whole burst; a solo receive() opens
-    // its own around a single call).
-    void receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx);
     void do_output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void tunnel_rx(net::Packet&& pkt, const net::FlowKey& key, sim::ExecContext& ctx);
-    void maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx);
 
     Kernel& kernel_;
     std::map<std::uint32_t, Vport> ports_;

@@ -1,6 +1,7 @@
 #include "kern/tap.h"
 
 #include "kern/kernel.h"
+#include "net/billing.h"
 
 namespace ovsx::kern {
 
@@ -13,11 +14,10 @@ void TapDevice::fd_write(net::Packet&& pkt, sim::ExecContext& writer_ctx)
 {
     const auto& costs = kernel().costs();
     // write() on the tun fd + skb allocation inside the kernel.
-    writer_ctx.charge(sim::CpuClass::System, costs.syscall);
-    writer_ctx.charge(sim::CpuClass::System, costs.skb_alloc);
-    writer_ctx.charge(sim::CpuClass::System, costs.copy(static_cast<std::int64_t>(pkt.size())));
-    pkt.meta().latency_ns +=
-        costs.syscall + costs.skb_alloc + costs.copy(static_cast<std::int64_t>(pkt.size()));
+    net::charge(writer_ctx, sim::CpuClass::System, pkt, costs.syscall);
+    net::charge(writer_ctx, sim::CpuClass::System, pkt, costs.skb_alloc);
+    net::charge(writer_ctx, sim::CpuClass::System, pkt,
+                costs.copy(static_cast<std::int64_t>(pkt.size())));
     deliver_rx(std::move(pkt), writer_ctx);
 }
 
@@ -26,8 +26,7 @@ void TapDevice::packet_socket_send(net::Packet&& pkt, sim::ExecContext& user_ctx
     const auto& costs = kernel().costs();
     // The measured ~2 µs tap sendto cost (§3.3): syscall + skb alloc +
     // copy + qdisc, folded into one calibrated constant.
-    user_ctx.charge(sim::CpuClass::System, costs.tap_sendto);
-    pkt.meta().latency_ns += costs.tap_sendto;
+    net::charge(user_ctx, sim::CpuClass::System, pkt, costs.tap_sendto);
     note_tx(pkt);
     if (fd_rx_) {
         fd_rx_(std::move(pkt), user_ctx);
@@ -39,8 +38,7 @@ void TapDevice::packet_socket_send(net::Packet&& pkt, sim::ExecContext& user_ctx
 void TapDevice::transmit(net::Packet&& pkt, sim::ExecContext& ctx)
 {
     const auto& costs = kernel().costs();
-    ctx.charge(costs.nic_tx_desc);
-    pkt.meta().latency_ns += costs.nic_tx_desc;
+    net::charge(ctx, pkt, costs.nic_tx_desc);
     note_tx(pkt);
     if (fd_rx_) {
         fd_rx_(std::move(pkt), ctx);

@@ -1,6 +1,7 @@
 #include "kern/veth.h"
 
 #include "kern/kernel.h"
+#include "net/billing.h"
 
 namespace ovsx::kern {
 
@@ -32,9 +33,7 @@ void VethDevice::transmit(net::Packet&& pkt, sim::ExecContext& ctx)
     note_tx(pkt);
     if (!peer_) return;
     // In-kernel hop: small fixed cost, no copy.
-    const auto& costs = kernel().costs();
-    ctx.charge(costs.nic_rx_desc);
-    pkt.meta().latency_ns += costs.nic_rx_desc;
+    net::charge(ctx, pkt, kernel().costs().nic_rx_desc);
     peer_->receive(std::move(pkt), ctx);
 }
 

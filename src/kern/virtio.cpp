@@ -1,6 +1,7 @@
 #include "kern/virtio.h"
 
 #include "kern/kernel.h"
+#include "net/billing.h"
 
 namespace ovsx::kern {
 
@@ -10,14 +11,10 @@ bool VhostUserChannel::backend_tx(net::Packet&& pkt, sim::ExecContext& user_ctx)
     // cache-hot memcpy; see CostModel::vhost_copy_per_byte).
     const auto copy_cost = static_cast<sim::Nanos>(
         static_cast<double>(pkt.size()) * costs_.vhost_copy_per_byte);
-    user_ctx.charge(costs_.vhost_ring_op);
-    user_ctx.charge(copy_cost);
-    pkt.meta().latency_ns += costs_.vhost_ring_op + copy_cost;
-    if (!features_.guest_polling) {
-        // Interrupt the guest (eventfd -> KVM irqfd).
-        user_ctx.charge(costs_.vhost_kick);
-        pkt.meta().latency_ns += costs_.vhost_kick;
-    }
+    net::charge(user_ctx, pkt, costs_.vhost_ring_op);
+    net::charge(user_ctx, pkt, copy_cost);
+    // Interrupt the guest (eventfd -> KVM irqfd).
+    if (!features_.guest_polling) net::charge(user_ctx, pkt, costs_.vhost_kick);
     if (guest_rx_) {
         guest_rx_(std::move(pkt), user_ctx);
         return true;
@@ -35,16 +32,14 @@ std::optional<net::Packet> VhostUserChannel::backend_rx(sim::ExecContext& user_c
     if (!pkt) return std::nullopt;
     const auto copy_cost = static_cast<sim::Nanos>(
         static_cast<double>(pkt->size()) * costs_.vhost_copy_per_byte);
-    user_ctx.charge(costs_.vhost_ring_op);
-    user_ctx.charge(copy_cost);
-    pkt->meta().latency_ns += costs_.vhost_ring_op + copy_cost;
+    net::charge(user_ctx, *pkt, costs_.vhost_ring_op);
+    net::charge(user_ctx, *pkt, copy_cost);
     return pkt;
 }
 
 bool VhostUserChannel::guest_tx(net::Packet&& pkt, sim::ExecContext& guest_ctx)
 {
-    guest_ctx.charge(costs_.vhost_ring_op);
-    pkt.meta().latency_ns += costs_.vhost_ring_op;
+    net::charge(guest_ctx, pkt, costs_.vhost_ring_op);
     if (!to_backend_.produce(pkt)) {
         ++drops_;
         return false;

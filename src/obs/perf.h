@@ -3,10 +3,10 @@
 // Every ExecContext can carry a PmdPerf that observes the context's
 // charge() stream: one virtual "cycle" per charged nanosecond, so the
 // TSC is derived from the sim clock and identical seeds produce
-// identical cycle counts. Providers bracket their poll loops with
-// begin_iteration()/end_iteration() and wrap pipeline phases in
-// PerfStageScope so every cycle lands in exactly one stage bucket
-// (charges outside any scope count as idle).
+// identical cycle counts. Providers bracket their poll loops with a
+// PerfIterationScope and wrap pipeline phases in PerfStageScope so
+// every cycle lands in exactly one stage bucket (charges outside any
+// scope count as idle).
 //
 // Per-iteration records feed two log-linear histograms
 // (packets-per-iteration, cycles-per-packet) and a fixed-depth flight
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -195,6 +196,35 @@ public:
 private:
     PmdPerf* perf_;
     PerfStage prev_ = PerfStage::Idle;
+};
+
+// RAII iteration bracket for a provider's poll loop or ingress entry.
+// Opens an iteration only when none is open (a nested entry, such as a
+// veth peer or a tunnel re-entry, classifies inside the outer
+// iteration) and closes it with the classifier passes `passes()` counted
+// in between. Recirculation classifies again, which is what keeps
+// pmd/perf-show packet totals equal to pmd-stats-show hits+misses.
+template <typename Passes> class PerfIterationScope {
+public:
+    PerfIterationScope(PmdPerf* perf, Passes passes)
+        : perf_(perf && !perf->in_iteration() ? perf : nullptr), passes_(std::move(passes))
+    {
+        if (perf_) {
+            before_ = passes_();
+            perf_->begin_iteration();
+        }
+    }
+    ~PerfIterationScope()
+    {
+        if (perf_) perf_->end_iteration(passes_() - before_);
+    }
+    PerfIterationScope(const PerfIterationScope&) = delete;
+    PerfIterationScope& operator=(const PerfIterationScope&) = delete;
+
+private:
+    PmdPerf* perf_;
+    Passes passes_;
+    std::uint64_t before_ = 0;
 };
 
 // --- global registry ----------------------------------------------------

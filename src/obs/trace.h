@@ -93,8 +93,8 @@ private:
 // Process-global tracer used by all datapath instrumentation.
 Tracer& tracer();
 
-// Hot-path helper: call sites guard with `pkt.meta().trace_id != 0`,
-// which is false for every packet outside a tracing run.
+// Records one hop. Datapath code calls net::trace (net/billing.h),
+// which skips untraced packets and stamps the packet's latency.
 inline void trace(std::uint32_t packet_id, Hop hop, std::int64_t ts, const char* verdict,
                   std::uint64_t a = 0, std::uint64_t b = 0)
 {

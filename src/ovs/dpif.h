@@ -50,6 +50,10 @@ public:
 
     virtual void execute(net::Packet&& pkt, const kern::OdpActions& actions,
                          sim::ExecContext& ctx) = 0;
+
+    // Virtual clock: meter refill, conntrack timestamps and timer-wheel
+    // expiry, and (once per ~1ms wheel quantum) classifier ranking.
+    virtual void set_now(sim::Nanos now) = 0;
 };
 
 } // namespace ovsx::ovs

@@ -6,13 +6,13 @@
 #include "ebpf/programs.h"
 #include "ebpf/verifier.h"
 #include "kern/kernel.h"
+#include "net/billing.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "kern/nic.h"
 #include "obs/coverage.h"
 #include "obs/perf.h"
-#include "obs/trace.h"
 #include "ovs/appctl_render.h"
 #include "san/audit.h"
 #include "san/packet_ledger.h"
@@ -323,24 +323,13 @@ void DpifEbpf::register_appctl(obs::Appctl& appctl)
 void DpifEbpf::receive(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
 {
     obs::PmdPerf* perf = ctx.perf();
-    if (!perf || perf->in_iteration()) {
-        receive_one(port_no, std::move(pkt), ctx);
-        return;
-    }
     // The iteration's packets are classifier passes, counted on the
     // per-context coverage counters (they need no lock, unlike the
     // flow_mu_-guarded hits_/misses_).
     static const obs::CounterId kHitId = obs::coverage_id("ebpf.hit");
     static const obs::CounterId kMissId = obs::coverage_id("ebpf.miss");
-    const std::uint64_t classified_before = ctx.counter(kHitId) + ctx.counter(kMissId);
-    perf->begin_iteration();
-    receive_one(port_no, std::move(pkt), ctx);
-    perf->end_iteration(ctx.counter(kHitId) + ctx.counter(kMissId) - classified_before);
-}
-
-void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx)
-{
-    obs::PmdPerf* perf = ctx.perf();
+    obs::PerfIterationScope iteration(
+        perf, [&ctx] { return ctx.counter(kHitId) + ctx.counter(kMissId); });
     san::skb_transition(pkt.san_id(), san::SkbState::Datapath, OVSX_SITE);
     pkt.meta().in_port = port_no;
     // The sandboxed program parses, builds the key, and probes the hash
@@ -348,8 +337,8 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
     // the datapath's "emc-lookup" stage.
     obs::PerfStageScope lookup_scope(perf, obs::PerfStage::EmcLookup);
     auto res = kernel_.vm().run_xdp(prog_, pkt, port_no, 0);
-    ctx.charge(res.cost + kernel_.costs().xdp_setup);
-    pkt.meta().latency_ns += res.cost + kernel_.costs().xdp_setup;
+    net::charge(ctx, pkt, res.cost + kernel_.costs().xdp_setup);
+    // CPU only, unlike Kernel::run_xdp: a modelling choice (DESIGN.md §5).
     if (res.touched_packet) ctx.charge(kernel_.costs().cache_miss);
     // The production eBPF datapath prototype (Tu et al., "Building an
     // extensible Open vSwitch datapath") executes ~680 instructions per
@@ -360,8 +349,7 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
     if (res.insns < kDatapathEquivInsns) {
         const auto extra = static_cast<sim::Nanos>(
             static_cast<double>(kDatapathEquivInsns - res.insns) * kernel_.costs().ebpf_insn);
-        ctx.charge(extra);
-        pkt.meta().latency_ns += extra;
+        net::charge(ctx, pkt, extra);
     }
 
     if (res.ret == 3) {
@@ -384,16 +372,12 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
         }
         if (actions) {
             OVSX_COVERAGE_CTX(ctx, "ebpf.hit");
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::EbpfLookup, pkt.meta().latency_ns,
-                           "hit", flow_id, res.insns);
-            }
+            net::trace(pkt, obs::Hop::EbpfLookup, "hit", flow_id, res.insns);
             // Action execution also runs as sandboxed bytecode in this
             // design: charge the equivalent instruction cost per action.
-            const auto insn_cost = static_cast<sim::Nanos>(
-                60.0 * kernel_.costs().ebpf_insn * static_cast<double>(actions->size()));
-            ctx.charge(insn_cost);
-            pkt.meta().latency_ns += insn_cost;
+            net::charge(ctx, pkt,
+                        static_cast<sim::Nanos>(60.0 * kernel_.costs().ebpf_insn *
+                                                static_cast<double>(actions->size())));
             execute(std::move(pkt), *actions, ctx);
             return;
         }
@@ -404,11 +388,8 @@ void DpifEbpf::receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecCo
         ++misses_;
     }
     OVSX_COVERAGE_CTX(ctx, "ebpf.miss");
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::EbpfLookup, pkt.meta().latency_ns, "miss",
-                   0, res.insns);
-        obs::trace(pkt.meta().trace_id, obs::Hop::Upcall, pkt.meta().latency_ns, "");
-    }
+    net::trace(pkt, obs::Hop::EbpfLookup, "miss", 0, res.insns);
+    net::trace(pkt, obs::Hop::Upcall, "");
     if (perf) perf->note_upcall();
     if (upcall_) {
         obs::PerfStageScope upcall_scope(perf, obs::PerfStage::Upcall);
@@ -421,15 +402,10 @@ void DpifEbpf::do_output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecCont
 {
     auto it = ports_.find(port_no);
     if (it == ports_.end()) {
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                       "no-such-port", port_no);
-        }
+        net::trace(pkt, obs::Hop::Drop, "no-such-port", port_no);
         return;
     }
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Tx, pkt.meta().latency_ns, "", port_no);
-    }
+    net::trace(pkt, obs::Hop::Tx, "", port_no);
     // This datapath cannot rewrite packets in flight, so a Geneve frame
     // carrying an INT option transits byte-identical (no stamp, no
     // strip). Count it so the fabric can prove the forward-intact
@@ -472,10 +448,7 @@ void DpifEbpf::execute(net::Packet&& pkt, const kern::OdpActions& actions,
             const net::FlowKey key = net::parse_flow(pkt);
             kernel_.conntrack().process(pkt, key, act.ct, ctx, now_);
             ctx.charge(static_cast<sim::Nanos>(120.0 * kernel_.costs().ebpf_insn));
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns, "",
-                           act.ct.zone, pkt.meta().ct_state);
-            }
+            net::trace(pkt, obs::Hop::Ct, "", act.ct.zone, pkt.meta().ct_state);
             break;
         }
         case Type::Recirc:
@@ -487,10 +460,7 @@ void DpifEbpf::execute(net::Packet&& pkt, const kern::OdpActions& actions,
             // the eBPF datapath "lacks some OVS datapath features".
             // Treated as drop.
             OVSX_COVERAGE_CTX(ctx, "ebpf.unsupported_action");
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                           "unsupported-action");
-            }
+            net::trace(pkt, obs::Hop::Drop, "unsupported-action");
             return;
         case Type::Drop:
             return;

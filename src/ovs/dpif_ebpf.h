@@ -74,7 +74,7 @@ public:
     // Virtual clock forwarded to conntrack (same convention as
     // DpifNetdev::set_now / OvsKernelDatapath::set_now); drives the
     // host conntrack's timer-wheel tick (dpif_ebpf.cpp).
-    void set_now(sim::Nanos now);
+    void set_now(sim::Nanos now) override;
     sim::Nanos now() const { return now_; }
 
     // Introspection for the differential harness: the in-map flow table
@@ -111,9 +111,6 @@ private:
     static_assert(sizeof(EbpfKey) == 20);
 
     void do_output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
-    // receive() minus the profiler iteration bracket (a veth-peer
-    // re-entry classifies inside the outer packet's iteration).
-    void receive_one(std::uint32_t port_no, net::Packet&& pkt, sim::ExecContext& ctx);
 
     kern::Kernel& kernel_;
     ebpf::MapPtr flow_map_;   // EbpfKey -> flow id

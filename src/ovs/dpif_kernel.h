@@ -94,6 +94,8 @@ public:
         dp_.execute(std::move(pkt), actions, ctx);
     }
 
+    void set_now(sim::Nanos now) override { dp_.set_now(now); }
+
     kern::OvsKernelDatapath& datapath() { return dp_; }
 
 private:

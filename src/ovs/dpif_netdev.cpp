@@ -8,13 +8,13 @@
 #include "kern/int_sink.h"
 #include "kern/kernel.h"
 #include "kern/timer_wheel.h"
+#include "net/billing.h"
 #include "net/hash.h"
 #include "net/headers.h"
 #include "net/int_hdr.h"
 #include "net/rewrite.h"
 #include "obs/coverage.h"
 #include "obs/perf.h"
-#include "obs/trace.h"
 #include "ovs/appctl_render.h"
 #include "ovs/netdev_afxdp.h"
 #include "san/packet_ledger.h"
@@ -379,13 +379,9 @@ std::uint32_t DpifNetdev::poll_rxq(std::uint32_t port_no, Netdev& netdev, std::u
 std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
 {
     Pmd& pmd = pmds_[static_cast<std::size_t>(pmd_index)];
-    obs::PmdPerf* perf = pmd.ctx.perf();
-    // One profiler iteration per poll cycle over the PMD's rxqs; the
-    // "packets" of an iteration are classifier passes (recirculation
-    // classifies again), which is what keeps pmd/perf-show packet
-    // totals equal to pmd-stats-show hits+misses.
-    const std::uint64_t classified_before = stats_hits_ + upcall_count_;
-    if (perf) perf->begin_iteration();
+    // One profiler iteration per poll cycle over the PMD's rxqs.
+    obs::PerfIterationScope iteration(pmd.ctx.perf(),
+                                      [this] { return stats_hits_ + upcall_count_; });
     std::uint32_t processed = 0;
     for (Rxq& rxq : pmd.rxqs) {
         auto it = ports_.find(rxq.port_no);
@@ -396,15 +392,12 @@ std::uint32_t DpifNetdev::pmd_poll_once(int pmd_index)
         // is the §4.2 "processing cycles" signal the auto-LB consumes.
         rxq.busy_ns += static_cast<std::uint64_t>(pmd.ctx.total_busy() - busy_before);
     }
-    if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
     return processed;
 }
 
 std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
 {
-    obs::PmdPerf* perf = ctx.perf();
-    const std::uint64_t classified_before = stats_hits_ + upcall_count_;
-    if (perf) perf->begin_iteration();
+    obs::PerfIterationScope iteration(ctx.perf(), [this] { return stats_hits_ + upcall_count_; });
     std::uint32_t processed = 0;
     for (auto& [port_no, port] : ports_) {
         if (!port.netdev) continue;
@@ -412,7 +405,6 @@ std::uint32_t DpifNetdev::main_thread_poll_once(sim::ExecContext& ctx)
             processed += poll_rxq(port_no, *port.netdev, q, ctx);
         }
     }
-    if (perf) perf->end_iteration(stats_hits_ + upcall_count_ - classified_before);
     return processed;
 }
 
@@ -490,8 +482,7 @@ void DpifNetdev::process_vector(std::uint32_t in_port, sim::ExecContext& ctx)
     for (std::size_t i = 0; i < n; ++i) {
         net::Packet& pkt = vec.pkt(i);
         admit(pkt, in_port, ctx);
-        ctx.charge(costs_.parse_extract);
-        pkt.meta().latency_ns += costs_.parse_extract;
+        net::charge(ctx, pkt, costs_.parse_extract);
         vec.key(i) = net::parse_flow(pkt);
         vec.hash(i) = vec.key(i).hash();
         // The bucket for packet i warms while packet i+1 parses.
@@ -533,8 +524,7 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
     }
     // Miniflow extraction.
     obs::PerfStageScope emc_scope(ctx.perf(), obs::PerfStage::EmcLookup);
-    ctx.charge(costs_.parse_extract);
-    pkt.meta().latency_ns += costs_.parse_extract;
+    net::charge(ctx, pkt, costs_.parse_extract);
     const net::FlowKey key = net::parse_flow(pkt);
     resolve(std::move(pkt), key, key.hash(), nullptr, ctx, depth);
 }
@@ -548,18 +538,14 @@ void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64
     // First level: EMC. Large lookup working sets spill out of the CPU
     // caches: one extra cold line per packet once the EMC holds many
     // flows (the 1-flow vs 1000-flow gap of Fig. 9).
-    ctx.charge(costs_.emc_hit);
-    pkt.meta().latency_ns += costs_.emc_hit;
+    net::charge(ctx, pkt, costs_.emc_hit);
     if (emc_.occupancy() > 128 || megaflow_.flow_count() > 128) {
-        ctx.charge(costs_.cache_miss);
-        pkt.meta().latency_ns += costs_.cache_miss;
+        net::charge(ctx, pkt, costs_.cache_miss);
     }
     if (const CachedFlowPtr flow = emc_.lookup_ref(key, hash)) {
         OVSX_COVERAGE_CTX(ctx, "emc.hit");
         ++stats_hits_;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "hit");
-        }
+        net::trace(pkt, obs::Hop::Emc, "hit");
         ++flow->hits;
         flow->bytes += pkt.size();
         // The shared reference keeps the actions alive even if a nested
@@ -568,9 +554,7 @@ void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64
         return;
     }
     OVSX_COVERAGE_CTX(ctx, "emc.miss");
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Emc, pkt.meta().latency_ns, "miss");
-    }
+    net::trace(pkt, obs::Hop::Emc, "miss");
 
     // Second level: megaflow (tuple space search), or the vector
     // spine's batch classification of this packet.
@@ -583,16 +567,12 @@ void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64
         } else {
             res = megaflow_.lookup(key);
         }
-        ctx.charge(static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
-        pkt.meta().latency_ns += static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe;
+        net::charge(ctx, pkt, static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
     }
     if (res.flow) {
         OVSX_COVERAGE_CTX(ctx, "megaflow.hit");
         ++stats_hits_;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns,
-                       "hit", res.probes);
-        }
+        net::trace(pkt, obs::Hop::Megaflow, "hit", res.probes);
         ++res.flow->hits;
         res.flow->bytes += pkt.size();
         if (++emc_insert_counter_ % emc_insert_inv_prob_ == 0) {
@@ -606,27 +586,18 @@ void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64
 
     // Slow path.
     OVSX_COVERAGE_CTX(ctx, "megaflow.miss");
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Megaflow, pkt.meta().latency_ns, "miss",
-                   res.probes);
-    }
+    net::trace(pkt, obs::Hop::Megaflow, "miss", res.probes);
     ++upcall_count_;
     if (perf) perf->note_upcall();
     if (!upcall_) {
         ++dropped_;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                       "no-upcall-handler");
-        }
+        net::trace(pkt, obs::Hop::Drop, "no-upcall-handler");
         return;
     }
     OVSX_COVERAGE_CTX(ctx, "dpif_netdev.upcall");
-    if (pkt.meta().trace_id) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Upcall, pkt.meta().latency_ns, "");
-    }
+    net::trace(pkt, obs::Hop::Upcall, "");
     obs::PerfStageScope up(perf, obs::PerfStage::Upcall);
-    ctx.charge(costs_.upcall);
-    pkt.meta().latency_ns += costs_.upcall;
+    net::charge(ctx, pkt, costs_.upcall);
     upcall_(pkt.meta().in_port, std::move(pkt), key, ctx);
 }
 
@@ -635,16 +606,11 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
     auto it = ports_.find(port_no);
     if (it == ports_.end()) {
         ++dropped_;
-        if (pkt.meta().trace_id) {
-            obs::trace(pkt.meta().trace_id, obs::Hop::Drop, pkt.meta().latency_ns,
-                       "no-such-port", port_no);
-        }
+        net::trace(pkt, obs::Hop::Drop, "no-such-port", port_no);
         return;
     }
     Port& port = it->second;
-    if (pkt.meta().trace_id && !port.tunnel) {
-        obs::trace(pkt.meta().trace_id, obs::Hop::Tx, pkt.meta().latency_ns, "", port_no);
-    }
+    if (!port.tunnel) net::trace(pkt, obs::Hop::Tx, "", port_no);
     if (port.tunnel) {
         output_tunnel(std::move(pkt), port, ctx);
         return;
@@ -653,7 +619,7 @@ void DpifNetdev::output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecConte
         ++dropped_;
         return;
     }
-    if (int_cfg_.enabled) maybe_int_stamp(pkt, ctx);
+    if (int_cfg_.enabled) kern::int_stamp(pkt, int_cfg_, last_batch_occupancy_, costs_, ctx);
     if (batching_outputs_) {
         out_batches_[port_no].push_back(std::move(pkt));
         return;
@@ -708,32 +674,10 @@ void DpifNetdev::output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecCo
         *vport.tunnel == net::TunnelType::Geneve) {
         net::int_attach(pkt, int_cfg_.max_hops);
     }
-    const auto c = costs_.copy(static_cast<std::int64_t>(net::encap_overhead(*vport.tunnel)));
-    ctx.charge(c);
-    pkt.meta().latency_ns += c;
+    net::charge(ctx, pkt,
+                costs_.copy(static_cast<std::int64_t>(net::encap_overhead(*vport.tunnel))));
     pkt.meta().tunnel = net::TunnelKey{};
     output(std::move(pkt), out_port->second, ctx);
-}
-
-void DpifNetdev::maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx)
-{
-    // Only Geneve frames already carrying the INT option are stamped —
-    // int_stamp() locates the option (or bails for every other frame)
-    // and appends this switch's record in place. The inner frame bytes
-    // are untouched.
-    net::IntHop hop;
-    hop.switch_id = int_cfg_.switch_id;
-    hop.ingress_tier = int_cfg_.tier;
-    hop.egress_tier = int_cfg_.tier;
-    hop.occupancy = last_batch_occupancy_;
-    hop.latency_ticks = static_cast<std::uint32_t>(
-        pkt.meta().latency_ns / net::kIntTickNs);
-    if (net::int_stamp(pkt, hop)) {
-        OVSX_COVERAGE_CTX(ctx, "int.stamped");
-        const auto c = costs_.copy(static_cast<std::int64_t>(sizeof(net::IntHopRecord)));
-        ctx.charge(c);
-        pkt.meta().latency_ns += c;
-    }
 }
 
 void DpifNetdev::execute(net::Packet&& pkt, const kern::OdpActions& actions,
@@ -782,14 +726,12 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
             obs::PerfStageScope ct_scope(perf, obs::PerfStage::Ct);
             const net::FlowKey key = net::parse_flow(pkt);
             const std::uint8_t s = ct_.process(pkt, key, act.ct, ctx, now_);
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Ct, pkt.meta().latency_ns,
-                           (s & net::kCtStateInvalid)       ? "invalid"
-                           : (s & net::kCtStateEstablished) ? "established"
-                           : (s & net::kCtStateRelated)     ? "related"
-                                                            : "new",
-                           act.ct.zone, s);
-            }
+            net::trace(pkt, obs::Hop::Ct,
+                       (s & net::kCtStateInvalid)       ? "invalid"
+                       : (s & net::kCtStateEstablished) ? "established"
+                       : (s & net::kCtStateRelated)     ? "related"
+                                                        : "new",
+                       act.ct.zone, s);
             break;
         }
         case Type::Recirc:
@@ -800,18 +742,12 @@ void DpifNetdev::run_actions(net::Packet&& pkt, const kern::OdpActions& actions,
             if (!meters_.admit(act.meter_id, pkt.size(), now_)) {
                 ++dropped_;
                 OVSX_COVERAGE_CTX(ctx, "meter.drop");
-                if (pkt.meta().trace_id) {
-                    obs::trace(pkt.meta().trace_id, obs::Hop::Meter, pkt.meta().latency_ns,
-                               "drop", act.meter_id);
-                }
+                net::trace(pkt, obs::Hop::Meter, "drop", act.meter_id);
                 return;
             }
             break;
         case Type::Userspace:
-            if (pkt.meta().trace_id) {
-                obs::trace(pkt.meta().trace_id, obs::Hop::Action, pkt.meta().latency_ns,
-                           "userspace-punt");
-            }
+            net::trace(pkt, obs::Hop::Action, "userspace-punt");
             punted_.push_back(std::move(pkt));
             return;
         case Type::Drop:

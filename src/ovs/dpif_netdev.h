@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "kern/int_sink.h"
 #include "net/packet_batch.h"
 #include "net/tunnel.h"
 #include "obs/window.h"
@@ -75,18 +76,11 @@ public:
     // When enabled this switch participates in fabric INT: the Geneve
     // encap path attaches the option at the origin, every transmitted
     // Geneve frame already carrying the option gets one hop record
-    // (switch id, tier, current batch occupancy, cumulative latency
-    // ticks) stamped on the batched dataplane, and tunnel decap pops the
-    // records into obs::int_export.
-    struct IntConfig {
-        bool enabled = false;
-        std::uint32_t switch_id = 0;
-        std::uint8_t tier = 0; // net::kIntTier{Host,Leaf,Spine}
-        std::uint8_t max_hops = 8;
-        bool attach_on_encap = true; // origin host adds the option
-    };
-    void set_int(const IntConfig& cfg) { int_cfg_ = cfg; }
-    const IntConfig& int_config() const { return int_cfg_; }
+    // (kern::int_stamp, with the current batch occupancy) stamped on the
+    // batched dataplane, and tunnel decap pops the records into
+    // obs::int_export.
+    void set_int(const kern::IntConfig& cfg) { int_cfg_ = cfg; }
+    const kern::IntConfig& int_config() const { return int_cfg_; }
 
     // ---- subsystems ---------------------------------------------------------------
     Emc& emc() { return emc_; }
@@ -100,7 +94,7 @@ public:
     // window: every crossed sampling boundary snapshots per-PMD/per-rxq
     // busy-ns and coverage counters, publishes the window, and (when
     // auto-LB is enabled) runs a rebalance check.
-    void set_now(sim::Nanos now);
+    void set_now(sim::Nanos now) override;
     sim::Nanos now() const { return now_; }
 
     // ---- sharding --------------------------------------------------------
@@ -209,7 +203,6 @@ private:
                  const MegaflowCache::LookupResult* hint, sim::ExecContext& ctx, int depth);
     void output(net::Packet&& pkt, std::uint32_t port_no, sim::ExecContext& ctx);
     void output_tunnel(net::Packet&& pkt, const Port& vport, sim::ExecContext& ctx);
-    void maybe_int_stamp(net::Packet& pkt, sim::ExecContext& ctx);
     void run_actions(net::Packet&& pkt, const kern::OdpActions& actions, sim::ExecContext& ctx,
                      int depth);
     void flush_output_batches(sim::ExecContext& ctx);
@@ -240,7 +233,7 @@ private:
     std::uint64_t stats_hits_ = 0;
     std::uint32_t emc_insert_inv_prob_ = 100;
     std::uint64_t emc_insert_counter_ = 0;
-    IntConfig int_cfg_;
+    kern::IntConfig int_cfg_;
     std::uint16_t last_batch_occupancy_ = 1; // INT queue/batch occupancy field
     obs::Window window_;
     bool shards_explicit_ = false;

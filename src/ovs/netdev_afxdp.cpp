@@ -6,6 +6,7 @@
 #include "ebpf/programs.h"
 #include "ebpf/verifier.h"
 #include "kern/kernel.h"
+#include "net/billing.h"
 #include "net/builder.h"
 #include "net/hash.h"
 #include "net/headers.h"
@@ -132,7 +133,6 @@ std::uint32_t NetdevAfxdp::rx_burst(std::uint32_t queue, std::vector<net::Packet
     while (n < max) {
         auto desc = q.xsk->rx().consume();
         if (!desc) break;
-        ctx.charge(costs.xsk_ring_op);
 
         auto frame = q.umem->frame(desc->addr);
         net::Packet pkt = net::Packet::from_bytes(frame.subspan(0, desc->len));
@@ -142,15 +142,11 @@ std::uint32_t NetdevAfxdp::rx_burst(std::uint32_t queue, std::vector<net::Packet
         pkt.meta().in_port = 0;
         pkt.meta().trace_id = desc->options; // obs trace id rides the descriptor
         pkt.meta().latency_ns = desc->latency_ns; // rx-metadata timestamp
-        sim::Nanos per_pkt = costs.xsk_ring_op;
+        net::charge(ctx, pkt, costs.xsk_ring_op);  // the rx ring consume
 
         // dp_packet metadata (O4).
-        ctx.charge(costs.dp_packet_init);
-        per_pkt += costs.dp_packet_init;
-        if (!options_.metadata_prealloc) {
-            ctx.charge(costs.mmap_alloc);
-            per_pkt += costs.mmap_alloc;
-        }
+        net::charge(ctx, pkt, costs.dp_packet_init);
+        if (!options_.metadata_prealloc) net::charge(ctx, pkt, costs.mmap_alloc);
 
         // RX checksum validation (O5).
         if (options_.csum_offload) {
@@ -158,9 +154,7 @@ std::uint32_t NetdevAfxdp::rx_burst(std::uint32_t queue, std::vector<net::Packet
         } else {
             const auto off = net::locate_headers(pkt);
             if (off.l4 >= 0) {
-                const auto c = costs.csum(static_cast<std::int64_t>(pkt.size()));
-                ctx.charge(c);
-                per_pkt += c;
+                net::charge(ctx, pkt, costs.csum(static_cast<std::int64_t>(pkt.size())));
                 pkt.meta().csum_verified = net::verify_l4_csum(pkt, static_cast<std::size_t>(off.l3));
             }
         }
@@ -170,11 +164,9 @@ std::uint32_t NetdevAfxdp::rx_burst(std::uint32_t queue, std::vector<net::Packet
         if (nic_.config().num_queues > 1) {
             pkt.meta().rxhash = net::rxhash_from_key(net::parse_flow(pkt));
             pkt.meta().rxhash_valid = true;
-            ctx.charge(costs.rxhash_sw);
-            per_pkt += costs.rxhash_sw;
+            net::charge(ctx, pkt, costs.rxhash_sw);
         }
 
-        pkt.meta().latency_ns += per_pkt;
         note_rx(pkt);
         out.push_back(std::move(pkt));
         san::frame_transition(q.umem->san_scope(), desc->addr, san::FrameState::UserPool,
@@ -213,9 +205,7 @@ void NetdevAfxdp::tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
         if (pkt.meta().csum_tx_offload) {
             if (!options_.csum_offload) {
                 net::refresh_l4_csum(pkt, sizeof(net::EthernetHeader));
-                const auto c = costs.csum(static_cast<std::int64_t>(pkt.size()));
-                ctx.charge(c);
-                pkt.meta().latency_ns += c;
+                net::charge(ctx, pkt, costs.csum(static_cast<std::int64_t>(pkt.size())));
             } else {
                 net::refresh_l4_csum(pkt, sizeof(net::EthernetHeader)); // "fixed value"
             }
@@ -224,10 +214,8 @@ void NetdevAfxdp::tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
 
         std::memcpy(frame.data(), pkt.data(), len);
         san::skb_transition(pkt.san_id(), san::SkbState::Tx, OVSX_SITE);
-        const auto copy_cost = costs.copy(static_cast<std::int64_t>(len));
-        ctx.charge(copy_cost);
-        pkt.meta().latency_ns += copy_cost + costs.xsk_ring_op;
-        ctx.charge(costs.xsk_ring_op);
+        net::charge(ctx, pkt, costs.copy(static_cast<std::int64_t>(len)));
+        net::charge(ctx, pkt, costs.xsk_ring_op);
         san::frame_transition(q.umem->san_scope(), addr, san::FrameState::TxRing,
                               OVSX_SITE);
         q.xsk->tx().produce({addr, static_cast<std::uint32_t>(len), pkt.meta().trace_id,

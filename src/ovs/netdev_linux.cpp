@@ -2,6 +2,7 @@
 
 #include "kern/kernel.h"
 #include "kern/tap.h"
+#include "net/billing.h"
 #include "net/builder.h"
 
 namespace ovsx::ovs {
@@ -29,9 +30,10 @@ std::uint32_t NetdevLinux::rx_burst(std::uint32_t queue, std::vector<net::Packet
     while (n < max && !rx_queue_.empty()) {
         net::Packet pkt = std::move(rx_queue_.front());
         rx_queue_.pop_front();
-        const auto c = costs.copy(static_cast<std::int64_t>(pkt.size()));
-        ctx.charge(sim::CpuClass::System, c);
-        pkt.meta().latency_ns += costs.syscall + c;
+        net::charge(ctx, sim::CpuClass::System, pkt,
+                    costs.copy(static_cast<std::int64_t>(pkt.size())));
+        // The CPU pays the recvmmsg() once per batch; every packet waits for it.
+        pkt.meta().latency_ns += costs.syscall;
         note_rx(pkt);
         out.push_back(std::move(pkt));
         ++n;
@@ -63,8 +65,7 @@ void NetdevLinux::tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
             const std::size_t payload = pkt.size() > 54 ? pkt.size() - 54 : 0;
             const auto nsegs = static_cast<sim::Nanos>((payload + mss - 1) / mss);
             const auto per_seg = costs.tap_sendto * 9 / 10; // sendmmsg shaves ~10%
-            ctx.charge(sim::CpuClass::System, nsegs * per_seg);
-            pkt.meta().latency_ns += nsegs * per_seg;
+            net::charge(ctx, sim::CpuClass::System, pkt, nsegs * per_seg);
         }
         // One sendmmsg() per batch pays the full ~2 us syscall cost
         // (§3.3); later packets in the same batch only pay the in-kernel
@@ -75,15 +76,13 @@ void NetdevLinux::tx_burst(std::uint32_t queue, std::vector<net::Packet>&& pkts,
                 tap->packet_socket_send(std::move(pkt), ctx);
                 continue;
             }
-            ctx.charge(sim::CpuClass::System, costs.tap_sendto);
-            pkt.meta().latency_ns += costs.tap_sendto;
+            net::charge(ctx, sim::CpuClass::System, pkt, costs.tap_sendto);
             dev_.transmit(std::move(pkt), ctx);
             continue;
         }
         const auto share =
             costs.skb_alloc + costs.copy(static_cast<std::int64_t>(pkt.size())) + 350;
-        ctx.charge(sim::CpuClass::System, share);
-        pkt.meta().latency_ns += share;
+        net::charge(ctx, sim::CpuClass::System, pkt, share);
         if (auto* tap = dynamic_cast<kern::TapDevice*>(&dev_)) {
             // Bypass the full-cost helper: deliver to the fd holder.
             sim::ExecContext& c = ctx;

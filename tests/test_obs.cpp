@@ -14,6 +14,7 @@
 #include "kern/kernel.h"
 #include "kern/nic.h"
 #include "kern/ovs_kmod.h"
+#include "net/billing.h"
 #include "net/builder.h"
 #include "net/headers.h"
 #include "obs/appctl.h"
@@ -833,6 +834,80 @@ TEST(ObsPerf, DisabledRegistryAttachesNoProfiler)
     EXPECT_EQ(ctx.perf(), nullptr);
     obs::perf_set_enabled(true);
     EXPECT_TRUE(obs::perf_enabled());
+}
+
+TEST(ObsPerf, IterationScopeOpensOnlyWhenNoneIsOpenAndCountsPassDelta)
+{
+    sim::ExecContext ctx("pmd", sim::CpuClass::User);
+    ctx.attach_perf("test_obs.iteration_scope");
+    obs::PmdPerf* perf = ctx.perf();
+    ASSERT_NE(perf, nullptr);
+    std::uint64_t passes = 10; // classifier passes before the iteration
+    {
+        obs::PerfIterationScope outer(perf, [&passes] { return passes; });
+        EXPECT_TRUE(perf->in_iteration());
+        passes += 2;
+        {
+            // A nested entry classifies inside the outer iteration.
+            obs::PerfIterationScope inner(perf, [&passes] { return passes; });
+            passes += 3;
+        }
+        EXPECT_TRUE(perf->in_iteration());
+        EXPECT_EQ(perf->iterations(), 0u);
+    }
+    EXPECT_FALSE(perf->in_iteration());
+    EXPECT_EQ(perf->iterations(), 1u);
+    EXPECT_EQ(perf->packets(), 5u);
+
+    // No profiler: the bracket is inert.
+    obs::PerfIterationScope none(nullptr, [&passes] { return passes; });
+}
+
+// ---- per-packet billing and trace hops ----------------------------------
+
+TEST(ObsBilling, ChargeBillsContextPacketAndOpenStage)
+{
+    sim::ExecContext ctx("pmd", sim::CpuClass::User);
+    ctx.attach_perf("test_obs.billing");
+    obs::PmdPerf* perf = ctx.perf();
+    ASSERT_NE(perf, nullptr);
+    net::Packet pkt(64);
+    pkt.meta().latency_ns = 5;
+    {
+        obs::PerfStageScope ct(perf, obs::PerfStage::Ct);
+        net::charge(ctx, pkt, 30);
+        EXPECT_EQ(ctx.total_busy(), 30);
+        EXPECT_EQ(ctx.busy(sim::CpuClass::User), 30); // the default class
+        EXPECT_EQ(pkt.meta().latency_ns, 35);
+        net::charge(ctx, sim::CpuClass::System, pkt, 12);
+    }
+    EXPECT_EQ(ctx.total_busy(), 42);
+    EXPECT_EQ(ctx.busy(sim::CpuClass::System), 12);
+    EXPECT_EQ(pkt.meta().latency_ns, 47);
+    EXPECT_EQ(perf->stage_cycles(obs::PerfStage::Ct), 42);
+    EXPECT_EQ(perf->stage_cycles(obs::PerfStage::Idle), 0);
+}
+
+TEST(ObsBilling, TraceRecordsOnlyTracedPacketsAtTheirLatency)
+{
+    obs::Tracer& t = obs::tracer();
+    t.enable(16);
+    net::Packet pkt(64);
+    pkt.meta().latency_ns = 123;
+    net::trace(pkt, obs::Hop::Emc, "hit"); // trace_id 0: untraced
+    EXPECT_EQ(t.recorded(), 0u);
+
+    pkt.meta().trace_id = 7;
+    net::trace(pkt, obs::Hop::Megaflow, "miss", 3, 4);
+    const auto events = t.events_for(7);
+    t.disable();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].packet_id, 7u);
+    EXPECT_EQ(events[0].hop, obs::Hop::Megaflow);
+    EXPECT_EQ(events[0].ts, 123);
+    EXPECT_STREQ(events[0].verdict, "miss");
+    EXPECT_EQ(events[0].a, 3u);
+    EXPECT_EQ(events[0].b, 4u);
 }
 
 // ---- determinism --------------------------------------------------------

@@ -27,6 +27,11 @@
 //                       differential harness can see it; environment
 //                       variables stay in the tooling layers (src/gen
 //                       output paths, benches).
+//   split-billing       `.charge(E)` followed within two lines by
+//                       `latency_ns += E`: one cost billed by hand at two
+//                       sites. net::charge (src/net/billing.h) bills the
+//                       context and the packet in one call, so neither
+//                       side can be forgotten.
 //
 // Violations are suppressible via tools/ovsx_lint_suppressions.txt:
 // exact-match `rule:path:detail` lines plus a `budget N` cap. The list
@@ -330,6 +335,68 @@ void rule_env_knob(const SourceFile& f, const std::string& code, std::vector<Fin
     }
 }
 
+// ---- rule: split-billing ------------------------------------------------
+
+std::string squeeze(const std::string& s)
+{
+    std::string out;
+    for (const char c : s) {
+        if (!std::isspace(static_cast<unsigned char>(c))) out += c;
+    }
+    return out;
+}
+
+void rule_split_billing(const SourceFile& f, const std::string& code, std::vector<Finding>& out)
+{
+    if (f.path == "src/net/billing.h") return; // the one sanctioned pairing
+    const std::string call = "charge(";
+    for (std::size_t pos = code.find(call); pos != std::string::npos;
+         pos = code.find(call, pos + 1)) {
+        const bool member = (pos >= 1 && code[pos - 1] == '.') ||
+                            (pos >= 2 && code.compare(pos - 2, 2, "->") == 0);
+        if (!member) continue;
+        // The amount is the last top-level argument (after an optional
+        // CpuClass).
+        const std::size_t open = pos + call.size() - 1;
+        std::size_t close = std::string::npos;
+        std::size_t arg_start = open + 1;
+        int depth = 0;
+        for (std::size_t i = open; i < code.size(); ++i) {
+            const char c = code[i];
+            if (c == '(' || c == '[' || c == '{') ++depth;
+            if (c == ')' || c == ']' || c == '}') {
+                if (--depth == 0) {
+                    close = i;
+                    break;
+                }
+            }
+            if (c == ',' && depth == 1) arg_start = i + 1;
+        }
+        if (close == std::string::npos) continue;
+        const std::string amount = squeeze(code.substr(arg_start, close - arg_start));
+        // Window: the rest of the charge's line and the next two lines.
+        std::size_t window_end = close;
+        for (int lines = 0; lines < 3 && window_end != std::string::npos; ++lines) {
+            window_end = code.find('\n', window_end + 1);
+        }
+        if (window_end == std::string::npos) window_end = code.size();
+        for (std::size_t lat = code.find("latency_ns", close); lat < window_end;
+             lat = code.find("latency_ns", lat + 1)) {
+            std::size_t k = lat + std::string("latency_ns").size();
+            while (k < code.size() && std::isspace(static_cast<unsigned char>(code[k]))) ++k;
+            if (code.compare(k, 2, "+=") != 0) continue;
+            const std::size_t semi = code.find(';', k);
+            if (semi == std::string::npos) continue;
+            if (squeeze(code.substr(k + 2, semi - k - 2)) != amount) continue;
+            out.push_back({"split-billing", f.path, amount, line_of(code, pos),
+                           "charge(" + amount + ") and latency_ns += " + amount +
+                               " billed by hand at two sites; use net::charge "
+                               "(net/billing.h)"});
+            break;
+        }
+    }
+}
+
 // ---- rule: hot-alloc ----------------------------------------------------
 
 const char* const kAllocTokens[] = {
@@ -496,6 +563,7 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files)
         rule_guarded_by(files[i], stripped[i], findings);
         rule_unchecked_accessor(files[i], stripped[i], findings);
         rule_env_knob(files[i], stripped[i], findings);
+        rule_split_billing(files[i], stripped[i], findings);
         scan_hot(files[i], stripped[i], pending_hot, findings);
     }
     resolve_hot_definitions(files, stripped, pending_hot, findings);
@@ -682,6 +750,30 @@ int self_test()
         expect(std::any_of(fs.begin(), fs.end(),
                            [](const Finding& f) { return f.detail == "Fast::inline_bad"; }),
                "hot-alloc attributes the innermost enclosing class");
+    }
+    // split-billing: a hand-written pair fires (default and explicit
+    // CpuClass, `.` and `->`, multi-line right-hand side); a different
+    // amount, a pair three lines apart, net::charge itself, the billing
+    // header and comments stay silent.
+    {
+        const auto fs = run_rules({
+            {"src/kern/a.cpp", "ctx.charge(costs.nic_rx_desc);\n"
+                               "pkt.meta().latency_ns += costs.nic_rx_desc;\n"},
+            {"src/gen/b.cpp", "ctx->charge(sim::CpuClass::Guest, fwd(n, 2));\n"
+                              "int unrelated = 0;\n"
+                              "pkt.meta().latency_ns +=\n    fwd(n,2);\n"},
+            {"src/ovs/c.cpp", "ctx.charge(a);\npkt.meta().latency_ns += a + b;\n"
+                              "ctx.charge(x);\n\n\npkt.meta().latency_ns += x;\n"
+                              "net::charge(ctx, pkt, y);\npkt.meta().latency_ns += y;\n"
+                              "// ctx.charge(z);\n// pkt.meta().latency_ns += z;\n"},
+            {"src/net/billing.h", "ctx.charge(c, ns);\npkt.meta().latency_ns += ns;\n"},
+        });
+        expect(count_rule(fs, "split-billing") == 2, "split-billing fires once per pair");
+        expect(std::any_of(fs.begin(), fs.end(),
+                           [](const Finding& f) {
+                               return f.key() == "split-billing:src/gen/b.cpp:fwd(n,2)";
+                           }),
+               "split-billing keys on the squeezed amount");
     }
     // Suppression mechanics: unsuppressed finding fails, suppressed
     // passes, stale entry fails, over-budget fails.
