@@ -5,7 +5,10 @@
 // tracked connections at one new connection per virtual microsecond,
 // then churned: the idle timeout trails the creation rate so the timer
 // wheels continuously expire the oldest connections (releasing NAT
-// state on that path) while new ones commit.
+// state on that path) while new ones commit. Alongside the churn, a
+// refresh slice of long-lived connections keeps sending, each one about
+// once per wheel quantum, so known-connection traffic crosses quanta
+// all run long and must never expire.
 //
 // What it asserts, per provider:
 //   - peak concurrency reaches the target (default 1<<20 connections);
@@ -13,6 +16,10 @@
 //     buckets, so the max nodes visited in one tick must stay orders of
 //     magnitude under the live-connection count (no O(total) scans on
 //     the packet path or the tick path);
+//   - wheel memory tracks live state: peak wheel nodes stay within 2x
+//     peak live connections however often known connections cross
+//     quanta (refiling a node per quantum crossed would exceed it);
+//   - the refresh slice is still tracked at the end;
 //   - the ct.shard.* occupancy counters flowed.
 // Per-commit latency is virtual time — the ExecContext busy-ns one
 // ct.process charges, the clock every other Hop::Ct sample is on — and
@@ -26,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "kern/conntrack.h"
 #include "kern/odp.h"
@@ -44,9 +52,17 @@ namespace {
 // One new connection per virtual microsecond.
 constexpr sim::Nanos kGapNs = 1000;
 
+// The refresh slice: kRefreshConns long-lived connections, kRefreshPerGap
+// of them sent per gap in round robin, so each one sends every
+// kRefreshConns / kRefreshPerGap gaps (~1 ms, about one wheel quantum).
+constexpr std::size_t kRefreshConns = 2048;
+constexpr std::size_t kRefreshPerGap = 2;
+
 struct RunStats {
     std::size_t peak_live = 0;
+    std::size_t peak_wheel_nodes = 0;
     std::size_t created = 0;
+    std::size_t refresh_live = 0; // refresh-slice connections tracked at the end
     std::size_t max_visited_per_tick = 0;
     double wall_secs = 0;
 };
@@ -58,6 +74,18 @@ net::Packet make_conn_packet(std::size_t i)
                             static_cast<std::uint8_t>(i >> 8), static_cast<std::uint8_t>(i));
     spec.dst_ip = net::ipv4(172, 16, 0, 1);
     spec.src_port = static_cast<std::uint16_t>(1024 + (i >> 24) * 7);
+    spec.dst_port = 443;
+    net::Packet p = net::build_udp(spec);
+    p.meta().in_port = 1;
+    return p;
+}
+
+net::Packet make_refresh_packet(std::size_t j)
+{
+    net::UdpSpec spec;
+    spec.src_ip = net::ipv4(11, 0, static_cast<std::uint8_t>(j >> 8), static_cast<std::uint8_t>(j));
+    spec.dst_ip = net::ipv4(172, 16, 0, 2);
+    spec.src_port = 2048;
     spec.dst_port = 443;
     net::Packet p = net::build_udp(spec);
     p.meta().in_port = 1;
@@ -80,6 +108,13 @@ RunStats run_churn(const char* domain, kern::Conntrack& ct, std::size_t target)
     kern::CtSpec cspec;
     cspec.commit = true;
 
+    std::vector<net::Packet> refresh;
+    std::vector<net::FlowKey> refresh_keys;
+    for (std::size_t j = 0; j < kRefreshConns; ++j) {
+        refresh.push_back(make_refresh_packet(j));
+        refresh_keys.push_back(net::parse_flow(refresh.back()));
+    }
+
     RunStats st;
     sim::Nanos now = 0;
     const auto wall0 = std::chrono::steady_clock::now();
@@ -91,12 +126,22 @@ RunStats run_churn(const char* domain, kern::Conntrack& ct, std::size_t target)
         ct.process(pkt, key, cspec, ctx, now);
         obs::latency_record(domain, obs::Hop::Ct, ctx.total_busy() - busy_before);
 
+        // Commit latency above covers new connections only.
+        for (std::size_t k = 0; k < kRefreshPerGap; ++k) {
+            const std::size_t j = (i * kRefreshPerGap + k) % kRefreshConns;
+            ct.process(refresh[j], refresh_keys[j], cspec, ctx, now);
+        }
+
         ct.tick(now); // quantum-gated: occupancy gauges + due-bucket expiry
         st.max_visited_per_tick = std::max(st.max_visited_per_tick, ct.last_expire_visited());
         if ((i & 0xFFF) == 0 || i + 1 == total) {
             st.peak_live = std::max(st.peak_live, ct.size());
+            st.peak_wheel_nodes = std::max(st.peak_wheel_nodes, ct.wheel_nodes());
         }
         now += kGapNs;
+    }
+    for (const net::FlowKey& key : refresh_keys) {
+        if (ct.find(kern::CtTuple::from_key(key, cspec.zone))) ++st.refresh_live;
     }
     st.created = total;
     st.wall_secs =
@@ -123,16 +168,34 @@ void print_percentiles(const char* domain)
 bool report(const char* domain, const RunStats& st, std::size_t target)
 {
     std::printf("%s:\n", domain);
-    std::printf("  connections      %zu created, peak %zu live\n", st.created, st.peak_live);
+    std::printf("  connections      %zu created, peak %zu live (%zu refresh slice)\n", st.created,
+                st.peak_live, kRefreshConns);
     std::printf("  churn rate       %.2f Mconn/s wall\n",
                 static_cast<double>(st.created) / st.wall_secs / 1e6);
     std::printf("  max tick visit   %zu wheel nodes\n", st.max_visited_per_tick);
+    std::printf("  wheel nodes      peak %zu (%.2fx peak live)\n", st.peak_wheel_nodes,
+                static_cast<double>(st.peak_wheel_nodes) / static_cast<double>(st.peak_live));
     print_percentiles(domain);
 
     bool ok = true;
-    if (st.peak_live < target) {
-        std::printf("FAIL: %s peaked at %zu live connections (target %zu)\n", domain,
-                    st.peak_live, target);
+    if (st.peak_live < target + kRefreshConns) {
+        std::printf("FAIL: %s peaked at %zu live connections (target %zu + %zu refresh)\n",
+                    domain, st.peak_live, target, kRefreshConns);
+        ok = false;
+    }
+    // One wheel node per live connection (plus the odd stale one): a
+    // node filed per quantum crossed by the refresh slice would put
+    // about two more per microsecond of idle timeout on the wheel.
+    if (st.peak_wheel_nodes > 2 * st.peak_live) {
+        std::printf("FAIL: %s peaked at %zu wheel nodes for %zu live connections — "
+                    "the wheel grows with traffic, not with live state\n",
+                    domain, st.peak_wheel_nodes, st.peak_live);
+        ok = false;
+    }
+    if (st.refresh_live != kRefreshConns) {
+        std::printf("FAIL: %s tracks %zu of %zu refresh-slice connections at the end — "
+                    "active connections expired\n",
+                    domain, st.refresh_live, kRefreshConns);
         ok = false;
     }
     // Bounded per-tick expiry: a full-table scan would visit ~peak_live

@@ -132,11 +132,12 @@ Conntrack::Conntrack(const CtProfile& profile, const sim::CostModel& costs, std:
     obs_token_ = obs::memory_register(profile_.table, [this] {
         // Same rendered fields as the single-map reporter; per-shard
         // sums taken one shard lock at a time (no global freeze).
-        std::size_t conns = 0, index = 0, nat = 0;
+        std::size_t conns = 0, index = 0, nat = 0, wheel = 0;
         for (const auto& s : shards_) {
             sync::LockGuard guard(s->mu);
             conns += s->conns.size();
             index += s->index.size();
+            wheel += s->wheel.nodes();
             for (const auto& [id, e] : s->conns) {
                 if (e.nat) ++nat;
             }
@@ -145,6 +146,7 @@ Conntrack::Conntrack(const CtProfile& profile, const sim::CostModel& costs, std:
         v.set("connections", static_cast<std::uint64_t>(conns));
         v.set("index_entries", static_cast<std::uint64_t>(index));
         v.set("nat_bindings", static_cast<std::uint64_t>(nat));
+        v.set("wheel_nodes", static_cast<std::uint64_t>(wheel));
         return v;
     });
     shards_token_ = obs::shards_register(profile_.table, [this] {
@@ -197,7 +199,7 @@ void Conntrack::reshard(std::uint32_t n)
     for (auto& [id, e] : entries) {
         const std::uint32_t owner = shard_of(e.orig);
         Shard& osh = *shards_[owner];
-        e.wheel_bucket = osh.wheel.enqueue(id, e.last_seen);
+        osh.wheel.enqueue(id, e.last_seen);
         osh.index.emplace(e.orig, Ref{owner, id});
         if (!(e.reply == e.orig)) shards_[shard_of(e.reply)]->index.emplace(e.reply, Ref{owner, id});
         osh.conns.emplace(id, std::move(e));
@@ -219,6 +221,16 @@ std::size_t Conntrack::nat_binding_count() const
         for (const auto& [id, e] : s->conns) {
             if (e.nat) ++n;
         }
+    }
+    return n;
+}
+
+std::size_t Conntrack::wheel_nodes() const
+{
+    std::size_t n = 0;
+    for (const auto& s : shards_) {
+        sync::LockGuard guard(s->mu);
+        n += s->wheel.nodes();
     }
     return n;
 }
@@ -395,8 +407,7 @@ std::uint8_t Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key
         if (spec.commit && !e.confirmed) e.confirmed = true;
         if (spec.commit && spec.set_mark) e.mark = spec.mark;
         e.packets++;
-        e.last_seen = now;
-        e.wheel_bucket = osh.wheel.touch(ref.id, e.wheel_bucket, now);
+        e.last_seen = now; // its wheel node is refiled when next due
         pkt.meta().ct_mark = e.mark;
         if (e.nat) apply_nat(pkt, e, is_reply, ctx);
         if (is_rst) {
@@ -471,7 +482,7 @@ std::uint8_t Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key
     const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
     auto [it, ok] = tsh.conns.emplace(id, entry);
     (void)ok;
-    it->second.wheel_bucket = tsh.wheel.enqueue(id, now);
+    tsh.wheel.enqueue(id, now);
     san::audit_add(san_scope_, profile_.audit_entry, id, OVSX_SITE);
     if (it->second.nat) san::audit_add(san_scope_, profile_.audit_nat, id, OVSX_SITE);
     tsh.index.emplace(tuple, Ref{home, id});
@@ -553,12 +564,14 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
         sync::LockGuard guard(s.mu);
         OVSX_SAN_ACCESS_AT(&s, profile_.table, true);
         const Wheel::ExpireStats st = s.wheel.expire(cutoff, [&](std::uint64_t id,
-                                                                 std::uint64_t bucket) {
+                                                                 sim::Nanos& last_seen) {
             auto it = s.conns.find(id);
             if (it == s.conns.end()) return Wheel::Verdict::Stale; // entry already gone
             CtEntry& e = it->second;
-            if (e.wheel_bucket != bucket) return Wheel::Verdict::Stale; // refiled since
-            if (e.last_seen >= cutoff) return Wheel::Verdict::Keep;     // boundary survivor
+            if (e.last_seen >= cutoff) {
+                last_seen = e.last_seen; // refreshed since filing: refile once
+                return Wheel::Verdict::Keep;
+            }
             if (shard_of(e.reply) != si) {
                 cross.push_back(Ref{si, id});
                 return Wheel::Verdict::Stale; // node dropped; erased in pass 2
@@ -592,7 +605,7 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
             if (e.last_seen >= cutoff) {
                 // Refreshed between the passes; its wheel node was
                 // dropped above, so file it again.
-                e.wheel_bucket = osh.wheel.enqueue(ref.id, e.last_seen);
+                osh.wheel.enqueue(ref.id, e.last_seen);
                 continue;
             }
             erase_entry_routed(ref);
@@ -666,8 +679,8 @@ void Conntrack::erase_entry_routed(const Ref& ref)
     san::audit_remove(san_scope_, profile_.audit_entry, ref.id, OVSX_SITE);
     if (it->second.nat) san::audit_remove(san_scope_, profile_.audit_nat, ref.id, OVSX_SITE);
     osh.conns.erase(it);
-    // The wheel node (if any) stays behind as a stale tombstone; the
-    // expiry liveness check drops it.
+    // The wheel node stays behind until its bucket is next due; the
+    // expiry liveness check then drops it as stale.
 }
 
 bool Conntrack::test_seam_leak_entry(const CtTuple& tuple)

@@ -125,9 +125,6 @@ struct CtEntry {
     std::optional<NatBinding> nat;
     std::uint64_t packets = 0;
     sim::Nanos last_seen = 0;
-    // Timer-wheel bucket this entry was last filed into (expiry
-    // liveness check; TimerWheel::kNoBucket before the first filing).
-    std::uint64_t wheel_bucket = ~std::uint64_t{0};
 };
 
 // What one datapath's conntrack differs in: the virtual cost charged
@@ -253,6 +250,10 @@ public:
     // Wheel nodes visited by the most recent expiry pass (the churn
     // bench asserts this stays bounded per tick).
     std::size_t last_expire_visited() const { return last_expire_visited_.load(); }
+    // Timer-wheel nodes filed across all shards, stale ones included:
+    // one per live connection plus those of connections torn down
+    // since their bucket was last due (memory/show "wheel_nodes").
+    std::size_t wheel_nodes() const;
 
     // Test seam (negative san tests only): drops the entry for `tuple`
     // from its shard WITHOUT updating the audit ledgers — san_check

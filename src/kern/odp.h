@@ -42,6 +42,8 @@ struct CtSpec {
     bool set_mark = false; // ct(commit,mark=M): store M on the connection
     std::uint32_t mark = 0;
     NatSpec nat;
+
+    friend bool operator==(const CtSpec&, const CtSpec&) = default;
 };
 
 struct OdpAction {

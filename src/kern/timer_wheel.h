@@ -1,22 +1,25 @@
 // Hashed timer wheel for conntrack idle expiry.
 //
-// Replaces the O(total-connections) expire_idle() scans in both
-// conntrack implementations: entries are filed into buckets keyed by
-// their quantized last-seen time (virtual ns >> tick shift), and one
-// expiry pass pops only the buckets at or below the cutoff. Refiling is
-// lazy — touching a connection enqueues a new node only when its
-// quantized bucket actually changes, and the old node is left behind as
-// a stale tombstone dropped the next time its bucket is visited. The
-// caller resolves liveness: an entry remembers the bucket it was last
-// filed into, and a popped node whose id is gone or whose entry points
-// at a different bucket is stale. Work per expiry call is proportional
-// to the nodes in due buckets (expired + stale + boundary survivors),
-// never to the table size — the bounded-per-tick contract the
-// million-connection churn bench asserts.
+// Replaces the O(total-connections) expire_idle() scans: entries are
+// filed into buckets keyed by their quantized last-seen time (virtual
+// ns >> tick shift), and one expiry pass pops only the buckets at or
+// below the cutoff. Each connection owns exactly one node: traffic on a
+// known connection only updates the entry's last-seen time, and the
+// node stays where it was filed. When an expiry pass pops a node whose
+// entry was refreshed since (last-seen >= cutoff), the node is refiled
+// once under the entry's current last-seen bucket. So steady-state
+// memory is one node per live connection whatever the packet rate, a
+// live connection is revisited at most once per idle timeout, and work
+// per expiry call is proportional to the nodes in due buckets (expired
+// + refiled + stale), never to the table size — the bounded-per-tick
+// contract the million-connection churn bench asserts. Expiry is never
+// early: every popped node's entry is checked against the cutoff.
 //
-// The wheel holds plain ids, never pointers, so stale nodes are
-// harmless even after the id is reused... which it never is: both
-// conntracks allocate ids from a monotonically increasing counter.
+// The caller resolves liveness: a popped node whose id is gone (the
+// connection was torn down by RST) is stale and is dropped; until an
+// expiry pass reaches its bucket it stays filed. The wheel holds plain ids, never pointers, so stale nodes
+// are harmless; ids come from a monotonically increasing counter and
+// are never reused.
 //
 // Concurrency: externally locked. Each conntrack shard embeds one wheel
 // and accesses it only under that shard's mutex.
@@ -24,6 +27,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -33,11 +37,9 @@ namespace ovsx::kern {
 template <typename Id> class TimerWheel {
 public:
     // 2^20 ns ~ 1ms buckets: fine enough that an idle cutoff lands
-    // within one bucket of the exact scan, coarse enough that steady
-    // traffic refiles a hot connection at most ~1000x/virtual-second.
+    // within one bucket of the exact scan, coarse enough that one pass
+    // per quantum amortizes over many packets.
     static constexpr std::uint32_t kDefaultTickShift = 20;
-    // "Never filed" marker for the per-entry bucket field.
-    static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
     explicit TimerWheel(std::uint32_t tick_shift = kDefaultTickShift) : shift_(tick_shift) {}
 
@@ -46,32 +48,17 @@ public:
         return static_cast<std::uint64_t>(t) >> shift_;
     }
 
-    // Files `id` under last-seen time `t`; returns the bucket key the
-    // caller must store on the entry.
-    std::uint64_t enqueue(Id id, sim::Nanos t)
+    // Files `id` under last-seen time `t`.
+    void enqueue(Id id, sim::Nanos t)
     {
-        const std::uint64_t b = bucket_of(t);
-        buckets_[b].push_back(id);
+        buckets_[bucket_of(t)].push_back(id);
         ++nodes_;
-        return b;
-    }
-
-    // Refiles `id` (previously in `prev_bucket`) for new last-seen `t`.
-    // No-op while the quantized bucket is unchanged; otherwise the old
-    // node becomes a stale tombstone. Returns the current bucket.
-    std::uint64_t touch(Id id, std::uint64_t prev_bucket, sim::Nanos t)
-    {
-        const std::uint64_t b = bucket_of(t);
-        if (b == prev_bucket) return prev_bucket;
-        buckets_[b].push_back(id);
-        ++nodes_;
-        return b;
     }
 
     enum class Verdict {
         Expired, // caller erased the entry
-        Stale,   // node superseded (entry gone or refiled elsewhere)
-        Keep     // entry live and not yet idle (boundary bucket)
+        Stale,   // entry gone (or handed elsewhere): drop the node
+        Keep     // entry live and not yet idle: refile the node
     };
 
     struct ExpireStats {
@@ -81,25 +68,24 @@ public:
         std::size_t kept = 0;
     };
 
-    // Visits every node in buckets <= bucket_of(cutoff). Buckets
-    // strictly below the boundary can only hold expired or stale nodes
-    // (quantization: last_seen >> shift < cutoff >> shift implies
-    // last_seen < cutoff); the boundary bucket is filtered node by
-    // node and survivors stay filed. `fn(id, bucket)` returns the
-    // Verdict; on Expired the caller has already erased the entry.
+    // Visits every node in buckets <= bucket_of(cutoff), in filing
+    // order. `fn(id, last_seen)` returns the Verdict; on Expired the
+    // caller has already erased the entry, on Keep it has stored the
+    // entry's current last-seen time (>= cutoff) in `last_seen` and
+    // the node is refiled under that bucket once the pass is done, so
+    // a refiled node is never visited twice in one pass.
     template <typename Fn> ExpireStats expire(sim::Nanos cutoff, Fn&& fn)
     {
         ExpireStats st;
         const std::uint64_t qcut = bucket_of(cutoff);
+        std::vector<std::pair<Id, sim::Nanos>> kept;
         while (!buckets_.empty()) {
             auto it = buckets_.begin();
             if (it->first > qcut) break;
-            const std::uint64_t b = it->first;
-            const bool boundary = b == qcut;
-            std::vector<Id> kept;
             for (const Id& id : it->second) {
                 ++st.visited;
-                switch (fn(id, b)) {
+                sim::Nanos last_seen = cutoff;
+                switch (fn(id, last_seen)) {
                 case Verdict::Expired:
                     ++st.expired;
                     break;
@@ -107,27 +93,19 @@ public:
                     ++st.stale;
                     break;
                 case Verdict::Keep:
-                    // Only reachable in the boundary bucket (below it,
-                    // quantization proves last_seen < cutoff); refile
-                    // defensively so a survivor is never dropped.
                     ++st.kept;
-                    kept.push_back(id);
+                    kept.emplace_back(id, last_seen);
                     break;
                 }
             }
             nodes_ -= it->second.size();
             buckets_.erase(it);
-            if (!kept.empty()) {
-                nodes_ += kept.size();
-                auto& vec = buckets_[qcut];
-                vec.insert(vec.end(), kept.begin(), kept.end());
-            }
-            if (boundary) break;
         }
+        for (const auto& [id, t] : kept) enqueue(id, t);
         return st;
     }
 
-    // Filed nodes, including stale tombstones (diagnostics).
+    // Filed nodes, including stale ones not yet popped (diagnostics).
     std::size_t nodes() const { return nodes_; }
     std::size_t bucket_count() const { return buckets_.size(); }
 

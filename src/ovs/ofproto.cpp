@@ -79,26 +79,43 @@ OfAction OfAction::drop()
 
 Ofproto::Ofproto() = default;
 
+std::size_t Ofproto::ActionListHash::operator()(const OfActionList& list) const
+{
+    // Hashes the fields that tell common lists apart (kind, port,
+    // table, ct zone/recirc table, meter); equality settles the rest.
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ list.size();
+    for (const OfAction& a : list) {
+        const std::uint64_t v = (static_cast<std::uint64_t>(a.type) << 56) ^
+                                (static_cast<std::uint64_t>(a.table) << 48) ^
+                                (static_cast<std::uint64_t>(a.ct.zone) << 32) ^
+                                (static_cast<std::uint64_t>(a.ct_table) << 40) ^
+                                (a.port ^ a.meter_id ^ a.vlan_tci);
+        h = (h ^ v) * 0x100000001b3ULL;
+        h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+}
+
 void Ofproto::add_rule(OfRule rule)
 {
-    auto owned = std::make_unique<OfRule>(std::move(rule));
-    const OfRule* ptr = owned.get();
-    Table& table = tables_[ptr->table];
+    Table& table = tables_[rule.table];
     auto sub = std::find_if(table.subtables.begin(), table.subtables.end(),
-                            [&](const Subtable& s) { return s.mask == ptr->match.mask; });
+                            [&](const Subtable& s) { return s.mask == rule.match.mask; });
     bool reorder = false;
     if (sub == table.subtables.end()) {
-        table.subtables.push_back(Subtable{.mask = ptr->match.mask,
+        table.subtables.push_back(Subtable{.mask = rule.match.mask,
                                            .rules = {},
-                                           .max_priority = ptr->priority,
+                                           .max_priority = rule.priority,
                                            .created = table.subtables.size()});
         sub = std::prev(table.subtables.end());
         reorder = true;
-    } else if (ptr->priority > sub->max_priority) {
-        sub->max_priority = ptr->priority;
+    } else if (rule.priority > sub->max_priority) {
+        sub->max_priority = rule.priority;
         reorder = true;
     }
-    sub->rules[ptr->match.masked().hash()].push_back(ptr);
+    const OfActionList* actions = &*action_lists_.insert(std::move(rule.actions)).first;
+    sub->rules[rule.match.masked().hash()].push_back(
+        Rule{.key = rule.match.key, .priority = rule.priority, .actions = actions});
     if (reorder) {
         std::sort(table.subtables.begin(), table.subtables.end(),
                   [](const Subtable& a, const Subtable& b) {
@@ -110,7 +127,6 @@ void Ofproto::add_rule(OfRule rule)
     }
     ++table.n_rules;
     ++rule_count_;
-    rules_.push_back(std::move(owned));
 }
 
 std::size_t Ofproto::table_count() const
@@ -124,9 +140,9 @@ std::size_t Ofproto::table_count() const
 
 int Ofproto::distinct_match_fields() const
 {
-    // Count FlowKey byte positions used by at least one rule's mask —
-    // grouped into logical fields by known offsets is overkill; we count
-    // distinct *fields* using a fixed field table.
+    // Count fields (a fixed field table over FlowKey offsets) with a
+    // bit set in at least one rule's mask. Every rule of a subtable
+    // carries the subtable's mask, so scanning the masks suffices.
     struct Field {
         std::size_t off;
         std::size_t len;
@@ -147,14 +163,16 @@ int Ofproto::distinct_match_fields() const
         {offsetof(net::FlowKey, icmp_code), 1},
     };
     std::set<std::size_t> used;
-    for (const auto& rule : rules_) {
-        const auto* m = reinterpret_cast<const std::uint8_t*>(&rule->match.mask.bits);
-        for (const auto& f : kFields) {
-            if (used.contains(f.off)) continue;
-            for (std::size_t i = 0; i < f.len; ++i) {
-                if (m[f.off + i]) {
-                    used.insert(f.off);
-                    break;
+    for (const auto& [id, table] : tables_) {
+        for (const Subtable& sub : table.subtables) {
+            const auto* m = reinterpret_cast<const std::uint8_t*>(&sub.mask.bits);
+            for (const auto& f : kFields) {
+                if (used.contains(f.off)) continue;
+                for (std::size_t i = 0; i < f.len; ++i) {
+                    if (m[f.off + i]) {
+                        used.insert(f.off);
+                        break;
+                    }
                 }
             }
         }
@@ -164,17 +182,17 @@ int Ofproto::distinct_match_fields() const
 
 void Ofproto::clear()
 {
-    rules_.clear();
+    action_lists_.clear();
     tables_.clear();
     rule_count_ = 0;
     recirc_alloc_.clear();
     recirc_resume_.clear();
 }
 
-const OfRule* Ofproto::classify(const Table& table, const net::FlowKey& key,
-                                net::FlowMask* wildcards) const
+const Ofproto::Rule* Ofproto::classify(const Table& table, const net::FlowKey& key,
+                                       net::FlowMask* wildcards) const
 {
-    const OfRule* best = nullptr;
+    const Rule* best = nullptr;
     for (const auto& sub : table.subtables) {
         // Subtables are sorted by max_priority, so no rule from here on
         // can beat `best` (ties go to the earlier one). The unprobed
@@ -195,12 +213,12 @@ const OfRule* Ofproto::classify(const Table& table, const net::FlowKey& key,
 
         auto it = sub.rules.find(sub.mask.masked_hash(key));
         if (it == sub.rules.end()) continue;
-        for (const OfRule* rule : it->second) {
+        for (const Rule& rule : it->second) {
             // All rules of a subtable share its mask, so comparing the
             // unmasked rule key under sub.mask is masked() == masked.
-            if (sub.mask.same_masked(key, rule->match.key) &&
-                (!best || rule->priority > best->priority)) {
-                best = rule;
+            if (sub.mask.same_masked(key, rule.key) &&
+                (!best || rule.priority > best->priority)) {
+                best = &rule;
             }
         }
     }
@@ -246,16 +264,15 @@ XlateResult Ofproto::xlate(const net::FlowKey& key) const
             break;
         }
         ++res.tables_visited;
-        const OfRule* rule = classify(tit->second, working, &res.wildcards);
+        const Rule* rule = classify(tit->second, working, &res.wildcards);
         if (!rule) {
             res.dropped = true;
             break;
         }
-        ++rule->n_matched;
         ++res.rules_matched;
 
         bool advanced = false;
-        for (const OfAction& act : rule->actions) {
+        for (const OfAction& act : *rule->actions) {
             switch (act.type) {
             case OfAction::Type::Output:
                 res.actions.push_back(kern::OdpAction::output(act.port));

@@ -9,12 +9,17 @@
 // of their highest rule priority and the probe stops once no remaining
 // subtable can beat the match (tuple priority sorting), so a
 // high-priority hit leaves the lower subtables' fields wildcarded.
+//
+// A stored rule keeps only its match key, priority and a pointer to
+// its action list. Each distinct action list is stored once (NSX's
+// 103,302 rules share 66 lists, mostly goto/drop/ct), and a rule's
+// mask lives once in its subtable.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "kern/odp.h"
@@ -56,6 +61,8 @@ struct OfAction {
     std::uint8_t table = 0;
     std::uint32_t meter_id = 0;
 
+    friend bool operator==(const OfAction&, const OfAction&) = default;
+
     static OfAction output(std::uint32_t port);
     static OfAction set_field(const net::FlowKey& v, const net::FlowMask& m);
     static OfAction push_vlan(std::uint16_t tci);
@@ -68,13 +75,16 @@ struct OfAction {
     static OfAction drop();
 };
 
+using OfActionList = std::vector<OfAction>;
+
+// What a controller installs. add_rule() keeps the match and priority
+// and interns the action list; the rule object itself is not kept.
 struct OfRule {
     std::uint8_t table = 0;
     std::int32_t priority = 0;
     Match match;
-    std::vector<OfAction> actions;
+    OfActionList actions;
     std::uint64_t cookie = 0;
-    mutable std::uint64_t n_matched = 0; // xlate hits
 };
 
 // Result of translating one flow through the pipeline.
@@ -93,6 +103,8 @@ public:
     // ---- rule management ---------------------------------------------
     void add_rule(OfRule rule);
     std::size_t rule_count() const { return rule_count_; }
+    // Distinct action lists stored (equal lists are stored once).
+    std::size_t action_list_count() const { return action_lists_.size(); }
     std::size_t table_count() const; // tables with at least one rule
     // Distinct fields matched across all rules (Table 3's "matching
     // fields among all rules" statistic).
@@ -111,9 +123,22 @@ public:
     std::uint64_t xlate_count() const { return xlate_count_; }
 
 private:
+    // One installed rule. Its mask is its subtable's.
+    struct Rule {
+        net::FlowKey key; // compared under the subtable mask
+        std::int32_t priority = 0;
+        const OfActionList* actions = nullptr; // into action_lists_
+    };
+
+    struct ActionListHash {
+        std::size_t operator()(const OfActionList& list) const;
+    };
+
     struct Subtable {
         net::FlowMask mask;
-        std::unordered_map<std::uint64_t, std::vector<const OfRule*>> rules;
+        // Masked-key hash -> rules. Pointers into here stay valid for
+        // the duration of one xlate (no rule is added meanwhile).
+        std::unordered_map<std::uint64_t, std::vector<Rule>> rules;
         std::int32_t max_priority = 0; // highest priority of any rule here
         std::size_t created = 0;       // creation index within the table
     };
@@ -125,11 +150,13 @@ private:
         std::size_t n_rules = 0;
     };
 
-    const OfRule* classify(const Table& table, const net::FlowKey& key,
-                           net::FlowMask* wildcards) const;
+    const Rule* classify(const Table& table, const net::FlowKey& key,
+                         net::FlowMask* wildcards) const;
     std::uint32_t recirc_id_for(std::uint8_t resume_table, std::uint16_t zone) const;
 
-    std::vector<std::unique_ptr<OfRule>> rules_;
+    // Node-based: element addresses survive rehashing, so rules can
+    // point into it.
+    std::unordered_set<OfActionList, ActionListHash> action_lists_;
     std::map<std::uint8_t, Table> tables_;
     std::size_t rule_count_ = 0;
     mutable std::map<std::pair<std::uint8_t, std::uint16_t>, std::uint32_t> recirc_alloc_;

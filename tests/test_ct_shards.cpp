@@ -81,7 +81,7 @@ TEST(TimerWheel, ExpiresOnlyDueBucketsNeverTheFuture)
     Wheel w(10); // ~1us buckets
     w.enqueue(1, 1000);
     w.enqueue(2, 5'000'000); // far future: must not be visited
-    const auto st = w.expire(2048, [&](std::uint64_t id, std::uint64_t) {
+    const auto st = w.expire(2048, [&](std::uint64_t id, sim::Nanos&) {
         EXPECT_EQ(id, 1u);
         return Wheel::Verdict::Expired;
     });
@@ -90,24 +90,55 @@ TEST(TimerWheel, ExpiresOnlyDueBucketsNeverTheFuture)
     EXPECT_EQ(w.nodes(), 1u); // the future node stays filed
 }
 
-TEST(TimerWheel, TouchRefilesLazilyAndDropsStaleTombstones)
+TEST(TimerWheel, RefreshedNodeIsRefiledOnceUnderItsLastSeenBucket)
 {
     Wheel w(10);
-    const auto b0 = w.enqueue(7, 0);
-    EXPECT_EQ(w.touch(7, b0, 100), b0); // same quantum: no new node
-    EXPECT_EQ(w.nodes(), 1u);
-    const auto b2 = w.touch(7, b0, 10'000); // new quantum: tombstone left
-    EXPECT_NE(b2, b0);
-    EXPECT_EQ(w.nodes(), 2u);
+    w.enqueue(7, 0);
+    sim::Nanos last_seen = 10'000; // refreshed since filing (bucket 9)
 
-    // Expiring past the old bucket only: the tombstone is dropped as
-    // Stale, the refiled node is untouched.
-    const auto st = w.expire(5'000, [&](std::uint64_t, std::uint64_t b) {
-        EXPECT_EQ(b, b0);
-        return Wheel::Verdict::Stale;
+    // The node's old bucket comes due: the entry is still live, so the
+    // node moves to the last-seen bucket instead of being duplicated.
+    auto st = w.expire(5'000, [&](std::uint64_t id, sim::Nanos& t) {
+        EXPECT_EQ(id, 7u);
+        t = last_seen;
+        return Wheel::Verdict::Keep;
     });
     EXPECT_EQ(st.visited, 1u);
-    EXPECT_EQ(st.stale, 1u);
+    EXPECT_EQ(st.kept, 1u);
+    EXPECT_EQ(w.nodes(), 1u);
+    EXPECT_EQ(w.bucket_count(), 1u);
+
+    // Nothing is due until the refiled bucket: no visit in between.
+    st = w.expire(9'000, [&](std::uint64_t, sim::Nanos&) {
+        ADD_FAILURE() << "refiled node visited before its bucket";
+        return Wheel::Verdict::Stale;
+    });
+    EXPECT_EQ(st.visited, 0u);
+
+    // Once the last-seen bucket is past, the idle entry expires.
+    st = w.expire(11'264, [&](std::uint64_t id, sim::Nanos&) {
+        EXPECT_EQ(id, 7u);
+        return Wheel::Verdict::Expired;
+    });
+    EXPECT_EQ(st.visited, 1u);
+    EXPECT_EQ(st.expired, 1u);
+    EXPECT_EQ(w.nodes(), 0u);
+}
+
+TEST(TimerWheel, RefileLandingInTheDueRangeIsNotRevisitedInTheSamePass)
+{
+    Wheel w(10);
+    w.enqueue(1, 0);
+    // Last seen inside the cutoff's own bucket, past the cutoff: the
+    // refile lands in a bucket this pass still pops.
+    int visits = 0;
+    const auto st = w.expire(4600, [&](std::uint64_t, sim::Nanos& t) {
+        ++visits;
+        t = 4700;
+        return Wheel::Verdict::Keep;
+    });
+    EXPECT_EQ(visits, 1);
+    EXPECT_EQ(st.kept, 1u);
     EXPECT_EQ(w.nodes(), 1u);
 }
 
@@ -115,8 +146,9 @@ TEST(TimerWheel, BoundaryBucketSurvivorsStayFiled)
 {
     Wheel w(10);
     w.enqueue(3, 4500); // lands in the cutoff's own bucket
-    const auto st = w.expire(4600, [&](std::uint64_t id, std::uint64_t) {
+    const auto st = w.expire(4600, [&](std::uint64_t id, sim::Nanos& t) {
         EXPECT_EQ(id, 3u);
+        t = 4500;
         return Wheel::Verdict::Keep;
     });
     EXPECT_EQ(st.kept, 1u);

@@ -6,8 +6,10 @@
 
 #include "gen/ct_corpus.h"
 #include "kern/conntrack.h"
+#include "kern/timer_wheel.h"
 #include "net/headers.h"
 #include "net/builder.h"
+#include "obs/appctl.h"
 
 namespace ovsx::kern {
 namespace {
@@ -268,6 +270,67 @@ TEST_P(ConntrackTest, ExpiryAndFlush)
     ct.flush();
     EXPECT_EQ(ct.size(), 0u);
     EXPECT_EQ(ct.zone_count(0), 0u);
+}
+
+// One wheel quantum of virtual time.
+constexpr sim::Nanos kQuantum = sim::Nanos{1} << TimerWheel<std::uint64_t>::kDefaultTickShift;
+
+TEST_P(ConntrackTest, WheelHoldsOneNodePerConnectionWithoutIdleTimeout)
+{
+    // No idle timeout, so no expiry pass ever runs: traffic on known
+    // connections must not file wheel nodes, however many quanta it
+    // spans (filing one per quantum crossed grew without bound).
+    constexpr int kConns = 256;
+    std::vector<net::Packet> pkts;
+    for (int c = 0; c < kConns; ++c) {
+        pkts.push_back(packet(ipv4(10, 0, 0, 1), ipv4(10, 0, 1, 1),
+                              static_cast<std::uint16_t>(1000 + c), 80));
+    }
+    sim::Nanos now = 0;
+    for (int round = 0; round < 40; ++round) {
+        for (auto& p : pkts) {
+            run(p, commit_spec(), now);
+            ct.tick(now);
+            now += kQuantum / 4; // every fourth packet crosses a quantum
+        }
+    }
+    ASSERT_GT(now / kQuantum, 2000); // spans thousands of quanta
+    EXPECT_EQ(ct.size(), static_cast<std::size_t>(kConns));
+    EXPECT_LE(ct.wheel_nodes(), ct.size());
+
+    // The same figure in memory/show, where a wheel leak would show.
+    const obs::Value mem = obs::memory_show();
+    const obs::Value* table = mem.find(GetParam()->table);
+    ASSERT_NE(table, nullptr);
+    const obs::Value* nodes = table->find("wheel_nodes");
+    ASSERT_NE(nodes, nullptr);
+    EXPECT_EQ(nodes->as_uint(), ct.wheel_nodes());
+}
+
+TEST_P(ConntrackTest, RefreshedConnectionExpiresOneTimeoutAfterLastPacket)
+{
+    const sim::Nanos timeout = 8 * kQuantum;
+    ct.set_idle_timeout(timeout);
+    auto p = packet(ipv4(1, 1, 1, 1), ipv4(2, 2, 2, 2), 1000, 80);
+    // A packet every half quantum for 100 quanta: the connection's
+    // wheel node comes due many times and is refiled each time.
+    sim::Nanos now = 0;
+    for (int i = 0; i < 200; ++i) {
+        run(p, commit_spec(), now);
+        ct.tick(now);
+        ASSERT_EQ(ct.size(), 1u) << "expired while active at " << now;
+        EXPECT_LE(ct.wheel_nodes(), 1u);
+        now += kQuantum / 2;
+    }
+    const sim::Nanos last = now - kQuantum / 2;
+
+    // Idle: still tracked through the first pass whose cutoff reaches
+    // the last packet, gone at the first pass past it.
+    ct.tick(last + timeout);
+    EXPECT_EQ(ct.size(), 1u);
+    ct.tick(last + timeout + kQuantum);
+    EXPECT_EQ(ct.size(), 0u);
+    EXPECT_EQ(ct.wheel_nodes(), 0u);
 }
 
 // ---- NAT ----------------------------------------------------------------

@@ -113,6 +113,18 @@ TEST_F(NsxTest, ProductionScaleRuleCount)
     EXPECT_GE(stats.tables, 15u);
 }
 
+TEST_F(NsxTest, ProductionRulesetSharesActionLists)
+{
+    // ~103k rules, mostly goto/drop/ct lists repeated per VM or per
+    // ACL: ofproto stores each distinct list once.
+    cfg.target_rules = 103302;
+    NsxAgent big(*vswitch, cfg);
+    big.deploy();
+    const ovs::Ofproto& of = vswitch->ofproto();
+    EXPECT_EQ(of.rule_count(), 103302u);
+    EXPECT_LT(of.action_list_count() * 100, of.rule_count()) << of.action_list_count();
+}
+
 TEST_F(NsxTest, IntraHostVmToVmPassesFirewall)
 {
     // VM A sends a UDP datagram to VM B through the full NSX pipeline.

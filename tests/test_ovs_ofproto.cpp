@@ -450,6 +450,40 @@ TEST(Ofproto, StatsAndInventory)
     EXPECT_EQ(of.rule_count(), 0u);
 }
 
+TEST(Ofproto, EqualActionListsAreStoredOnce)
+{
+    Ofproto of;
+    kern::CtSpec ct;
+    ct.zone = 5;
+    ct.commit = true;
+    kern::CtSpec ct_nat = ct;
+    ct_nat.nat = kern::NatSpec::src(ipv4(203, 0, 113, 1));
+    for (std::uint32_t port = 1; port <= 8; ++port) {
+        of.add_rule({.table = 0, .priority = 10, .match = match_in_port(port),
+                     .actions = {OfAction::goto_table(1)}});
+        of.add_rule({.table = 1, .priority = 10, .match = match_in_port(port),
+                     .actions = {OfAction::conntrack(port % 2 ? ct : ct_nat, 2)}});
+    }
+    // Equal in every field but the tail of the list: a distinct list.
+    of.add_rule({.table = 2, .priority = 10, .match = match_in_port(1),
+                 .actions = {OfAction::goto_table(1), OfAction::output(4)}});
+
+    EXPECT_EQ(of.rule_count(), 17u);
+    // goto(1), ct(zone 5), ct(zone 5, snat), goto(1)+output(4).
+    EXPECT_EQ(of.action_list_count(), 4u);
+
+    // Each rule still translates to its own list.
+    const auto odd = of.xlate(udp_key(3));
+    ASSERT_EQ(odd.actions.size(), 2u);
+    EXPECT_FALSE(odd.actions[0].ct.nat.enabled);
+    const auto even = of.xlate(udp_key(4));
+    ASSERT_EQ(even.actions.size(), 2u);
+    EXPECT_TRUE(even.actions[0].ct.nat.enabled);
+
+    of.clear();
+    EXPECT_EQ(of.action_list_count(), 0u);
+}
+
 TEST(Ofproto, ControllerAndMeterTranslate)
 {
     Ofproto of;
