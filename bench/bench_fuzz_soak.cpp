@@ -131,24 +131,24 @@ int main(int argc, char** argv)
         cfg.use_fragments = (iterations % 3) == 2;
         cfg.use_extra_encaps = (iterations % 5) >= 3;
         cfg.use_int = (iterations % 2) == 0; // pre-attached INT headers in the mix
-        // Rotate the batch-vs-scalar chunk size so the vector spine is
+        // Rotate the fabric leg's injection burst so the dataplane is
         // soaked at degenerate (1), partial (8) and full (32) occupancy.
-        static constexpr std::size_t kBatchSizes[] = {1, 8, 32};
-        cfg.batch_size = kBatchSizes[iterations % 3];
+        static constexpr std::size_t kBurstSizes[] = {1, 8, 32};
+        const std::size_t burst = kBurstSizes[iterations % 3];
         // Rotate shard counts so the soak continuously proves sharding
         // is invisible to the cross-provider end-state digests.
         static constexpr std::uint32_t kShardCounts[] = {1, 4, 16};
         cfg.shards = kShardCounts[iterations % 3];
 
         // Every few iterations, soak the fabric too: a 3-host leaf–spine
-        // run per provider with INT stamping on, at the same rotated
-        // batch size, diffed for delivery and journey divergence.
+        // run per provider with INT stamping on, at the rotated burst
+        // size, diffed for delivery and journey divergence.
         if ((iterations % 4) == 0) {
-            const auto fr = ovsx::fabric::run_fabric_differential(3, 2, cfg.batch_size);
+            const auto fr = ovsx::fabric::run_fabric_differential(3, 2, burst);
             fabric_frames += fr.frames_sent;
             if (!fr.ok()) {
-                std::printf("FAIL: fabric divergence at iteration=%zu batch=%zu\n%s\n",
-                            iterations, cfg.batch_size, fr.summary().c_str());
+                std::printf("FAIL: fabric divergence at iteration=%zu burst=%zu\n%s\n",
+                            iterations, burst, fr.summary().c_str());
                 ovsx::obs::metrics_set("soak.result", ovsx::obs::Value("fail"));
                 ovsx::gen::metrics_flush_from_env();
                 return 1;
@@ -178,14 +178,14 @@ int main(int argc, char** argv)
                 "%zu fabric frames, %.1fs (%.0f pkt/s across 3 datapaths)\n",
                 iterations, packets, explained, fabric_frames, elapsed, pkt_per_s);
 
-    // Obs evidence that the vector spine actually ran batched: the
-    // occupancy counter sums packets per flush, so occupancy/flush is
-    // the average burst the spine processed (the cross-provider legs
-    // inject per-step, pinning their bursts at 1; the batch-vs-scalar
-    // legs contribute the rotated chunk sizes).
+    // Obs evidence that the datapaths actually ran bursts: the
+    // occupancy counter sums packets per rx burst, so occupancy/flush
+    // is the average burst processed (the cross-provider legs inject
+    // per-step, pinning their bursts at 1; the fabric legs contribute
+    // the rotated burst sizes).
     const std::uint64_t occupancy = coverage_count("batch.occupancy");
     const std::uint64_t flushes = coverage_count("batch.flush");
-    std::printf("vector spine: %llu packets over %llu flushes (avg occupancy %.2f)\n",
+    std::printf("bursts: %llu packets over %llu flushes (avg occupancy %.2f)\n",
                 static_cast<unsigned long long>(occupancy),
                 static_cast<unsigned long long>(flushes),
                 flushes ? static_cast<double>(occupancy) / static_cast<double>(flushes) : 0.0);

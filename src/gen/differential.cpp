@@ -257,7 +257,6 @@ struct DifferentialHarness::Instance {
     struct CapturedFrame {
         std::size_t port;
         std::vector<std::uint8_t> bytes;
-        std::uint32_t trace_id;
     };
 
     DpKind kind;
@@ -273,10 +272,10 @@ struct DifferentialHarness::Instance {
     ovs::Dpif* dpif = nullptr;
     int pmd = -1;
 
-    // Enqueues one packet into the NIC without draining: the kernel and
-    // eBPF datapaths process synchronously inside rx_from_wire; the
-    // netdev datapath leaves it on the rxq until drain().
-    void enqueue(const DiffPacket& step, sim::Nanos now, std::uint32_t trace_id)
+    // Injects one packet and runs it to completion: the kernel and eBPF
+    // datapaths process synchronously inside rx_from_wire; the netdev
+    // PMD then drains its rxqs.
+    void inject(const DiffPacket& step, sim::Nanos now, std::uint32_t trace_id = 0)
     {
         dpif->set_now(now);
         // All instrumentation this instance records while processing the
@@ -286,20 +285,10 @@ struct DifferentialHarness::Instance {
         net::Packet copy = step.pkt;
         copy.meta().trace_id = trace_id;
         nics[step.port]->rx_from_wire(std::move(copy));
-    }
-
-    void drain()
-    {
         if (kind == DpKind::Netdev) {
             while (netdev->pmd_poll_once(pmd) > 0) {
             }
         }
-    }
-
-    void inject(const DiffPacket& step, sim::Nanos now, std::uint32_t trace_id = 0)
-    {
-        enqueue(step, now, trace_id);
-        drain();
     }
 
     Verdict take_verdict()
@@ -309,24 +298,6 @@ struct DifferentialHarness::Instance {
         captured.clear();
         std::sort(v.outputs.begin(), v.outputs.end());
         return v;
-    }
-
-    // Splits everything captured since the last take into per-step
-    // verdicts for the `count` steps with trace ids [base_id, base_id +
-    // count), attributing each frame to the injected packet it descends
-    // from. Steps that emitted nothing read as drops.
-    std::vector<Verdict> split_verdicts(std::uint32_t base_id, std::size_t count)
-    {
-        std::vector<Verdict> out(count);
-        for (auto& f : captured) {
-            const std::size_t idx =
-                (f.trace_id >= base_id && f.trace_id < base_id + count) ? f.trace_id - base_id
-                                                                        : 0;
-            out[idx].outputs.emplace_back(f.port, std::move(f.bytes));
-        }
-        captured.clear();
-        for (auto& v : out) std::sort(v.outputs.begin(), v.outputs.end());
-        return out;
     }
 
     std::size_t datapath_flow_count() const
@@ -445,7 +416,7 @@ DifferentialHarness::make_instance(DpKind kind) const
         inst->nics[i]->connect_wire([raw, i, strip_int](net::Packet&& p) {
             std::vector<std::uint8_t> bytes(p.data(), p.data() + p.size());
             if (strip_int) bytes = net::int_strip_bytes(bytes);
-            raw->captured.push_back({i, std::move(bytes), p.meta().trace_id});
+            raw->captured.push_back({i, std::move(bytes)});
         });
     }
 
@@ -799,159 +770,6 @@ DiffReport DifferentialHarness::run(const std::vector<DiffPacket>& seq)
         if (it != report.unexplained.end()) {
             report.reproducer = minimize(seq, it->step);
         }
-    }
-    return report;
-}
-
-DiffReport DifferentialHarness::run_batch_vs_scalar(const std::vector<DiffPacket>& seq,
-                                                    DpKind kind, std::size_t batch_size)
-{
-    if (batch_size == 0) batch_size = 1;
-    DiffReport report;
-    report.packets_run = seq.size();
-
-    // One side runs the default (vector) configuration, the other is
-    // forced onto the packet-at-a-time spine. For the kernel and eBPF
-    // datapaths both sides are structurally identical — there is no
-    // compute batching there, which is the paper's Table 4 story — so
-    // the mode degenerates to a burst-arrival determinism check.
-    std::unique_ptr<Instance> batch = make_instance(kind);
-    std::unique_ptr<Instance> scalar = make_instance(kind);
-    if (kind == DpKind::Netdev) {
-        scalar->netdev->set_scalar_spine(true);
-        // Windowed telemetry stays with the cross-provider instances
-        // (whose windows feed the run artifacts); publishing a snapshot
-        // per window close on this pair would only burn time.
-        batch->netdev->set_window_interval(0);
-        scalar->netdev->set_window_interval(0);
-    }
-    Instance* sides[2] = {batch.get(), scalar.get()};
-
-    for (std::size_t base = 0; base < seq.size(); base += batch_size) {
-        const std::size_t n = std::min(batch_size, seq.size() - base);
-        // Enqueue the whole chunk before either side drains, so the
-        // vector spine sees real bursts. Both sides share the identical
-        // schedule (and the netdev PMD drains its rxqs in the same
-        // port-major order on both), so processing order is equal even
-        // when it differs from injection order — which is exactly why
-        // the cross-provider mode above must stay per-step while this
-        // same-provider mode may burst.
-        for (Instance* inst : sides) {
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::size_t step = base + k;
-                inst->enqueue(seq[step], static_cast<sim::Nanos>(step + 1) * kStepNanos,
-                              static_cast<std::uint32_t>(step + 1));
-            }
-            inst->drain();
-        }
-        auto bv = batch->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
-        auto sv = scalar->split_verdicts(static_cast<std::uint32_t>(base + 1), n);
-        for (std::size_t k = 0; k < n; ++k) {
-            if (bv[k] == sv[k]) continue;
-            report.unexplained.push_back({base + k,
-                                          "batch=" + bv[k].to_string() +
-                                              " scalar=" + sv[k].to_string(),
-                                          ""});
-        }
-    }
-
-    // End state: same provider on both sides, so flow tables (eBPF
-    // included), conntrack, and the semantic pipeline counters must all
-    // match exactly. Transport telemetry (batch.occupancy/flush,
-    // doorbells, lock counts) is deliberately excluded: batching may
-    // change how packets are moved, never what they did.
-    const std::size_t end_step = seq.size();
-    auto diff_scalar = [&](const char* what, std::uint64_t b, std::uint64_t s) {
-        if (b == s) return;
-        report.unexplained.push_back({end_step,
-                                      std::string(what) + " differs: batch=" +
-                                          std::to_string(b) +
-                                          " scalar=" + std::to_string(s),
-                                      ""});
-    };
-    auto joined = [](std::vector<std::string> v) {
-        std::sort(v.begin(), v.end());
-        std::string out;
-        for (const auto& s : v) {
-            out += s;
-            out += "; ";
-        }
-        return out;
-    };
-    {
-        auto flows = [&](const Instance& inst) {
-            std::vector<std::string> out;
-            for (const auto& e : inst.dpif->flow_dump()) out.push_back(e.to_string());
-            return joined(std::move(out));
-        };
-        auto ct = [&](const Instance& inst) {
-            std::vector<std::string> out;
-            for (const auto& e : inst.ct_snapshot()) out.push_back(e.to_string());
-            return joined(std::move(out));
-        };
-        // Fast path for the fuzz soak: an order-independent digest over
-        // the megaflow entries (no copies, no strings). The full string
-        // dump — which names the exact divergent flow — is built only
-        // when the digests disagree.
-        bool flows_match_cheaply = false;
-        if (kind == DpKind::Netdev) {
-            auto digest = [](Instance& inst) {
-                std::uint64_t d = 0;
-                std::size_t n = 0;
-                inst.netdev->megaflow().for_each_entry(
-                    [&](const ovs::CachedFlow& f, const net::FlowMask& m) {
-                        d ^= flow_entry_digest(f.masked_key, m, f.actions);
-                        ++n;
-                    });
-                return std::pair<std::uint64_t, std::size_t>{d, n};
-            };
-            flows_match_cheaply = digest(*batch) == digest(*scalar);
-        }
-        if (!flows_match_cheaply) {
-            const std::string bf = flows(*batch), sf = flows(*scalar);
-            if (bf != sf) {
-                report.unexplained.push_back(
-                    {end_step, "flow tables differ: batch={" + bf + "} scalar={" + sf + "}", ""});
-            }
-        }
-        auto snap_sorted = [](const Instance& inst) {
-            auto v = inst.ct_snapshot();
-            std::sort(v.begin(), v.end());
-            return v;
-        };
-        if (snap_sorted(*batch) != snap_sorted(*scalar)) {
-            const std::string bc = ct(*batch), sc = ct(*scalar);
-            report.unexplained.push_back(
-                {end_step, "conntrack differs: batch={" + bc + "} scalar={" + sc + "}", ""});
-        }
-    }
-    switch (kind) {
-    case DpKind::Netdev: {
-        static const char* const kSemantic[] = {"emc.hit",       "emc.miss",
-                                                "megaflow.hit",  "megaflow.miss",
-                                                "dpif_netdev.upcall", "meter.drop"};
-        sim::ExecContext& bc = batch->netdev->pmd_ctx(batch->pmd);
-        sim::ExecContext& sc = scalar->netdev->pmd_ctx(scalar->pmd);
-        for (const char* name : kSemantic) diff_scalar(name, bc.counter(name), sc.counter(name));
-        diff_scalar("upcalls", batch->netdev->upcalls(), scalar->netdev->upcalls());
-        diff_scalar("dropped", batch->netdev->dropped(), scalar->netdev->dropped());
-        break;
-    }
-    case DpKind::Kernel:
-        diff_scalar("kdp.hits", batch->kdp->hits(), scalar->kdp->hits());
-        diff_scalar("kdp.misses", batch->kdp->misses(), scalar->kdp->misses());
-        diff_scalar("kdp.lost", batch->kdp->lost(), scalar->kdp->lost());
-        break;
-    case DpKind::Ebpf:
-        diff_scalar("ebpf.hits", batch->ebpf->hits(), scalar->ebpf->hits());
-        diff_scalar("ebpf.misses", batch->ebpf->misses(), scalar->ebpf->misses());
-        break;
-    }
-
-    for (Instance* inst : sides) {
-        inst->dpif->san_check(OVSX_SITE);
-        inst->kernel->conntrack().san_check(OVSX_SITE);
-        if (inst->netdev) inst->netdev->ct().san_check(OVSX_SITE);
     }
     return report;
 }

@@ -382,15 +382,6 @@ DiffReport fuzz_run(std::uint64_t seed, const FuzzConfig& cfg, std::size_t count
     san::ScopedCollect collect;
     const std::uint64_t first_id = san::skb_next_id();
     DiffReport report = harness.run(packets);
-    if (cfg.batch_size > 0) {
-        DiffReport bs =
-            harness.run_batch_vs_scalar(packets, DpKind::Netdev, cfg.batch_size);
-        for (auto& d : bs.unexplained) {
-            d.detail = "batch-vs-scalar[netdev,b=" + std::to_string(cfg.batch_size) +
-                       "]: " + d.detail;
-            report.unexplained.push_back(std::move(d));
-        }
-    }
     san::skb_leak_check_since(first_id, OVSX_SITE);
     for (const auto& v : collect.take()) {
         report.unexplained.push_back({packets.size(), "san: " + v.to_string(), ""});

@@ -33,12 +33,6 @@ struct FuzzConfig {
     bool use_int = false;
     bool use_fragments = false;    // re-badge some UDP frames as IP fragments
     bool use_extra_encaps = false; // rotate VXLAN/ERSPAN outers alongside Geneve
-    // Batch-vs-scalar self-check: each iteration additionally drives the
-    // identical sequence through a vector-spine and a forced-scalar
-    // netdev instance under one chunked injection schedule and folds any
-    // divergence (there is no allowlist for this mode) into the report.
-    // 0 disables; 1 degenerates to per-packet injection.
-    std::size_t batch_size = 32;
     // Shard count for conntrack tables + the megaflow cache on every
     // provider (DiffOptions::{ct,mf}_shards). Sharding must be invisible
     // to the end-state digests; the soak rotates {1,4,16} to prove it.

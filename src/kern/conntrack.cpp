@@ -77,6 +77,19 @@ struct Conntrack::Shard {
     std::unordered_map<CtTuple, Ref, CtTuple::Hash> index OVSX_GUARDED_BY(mu);
     std::unordered_map<std::uint64_t, CtEntry> conns OVSX_GUARDED_BY(mu);
     TimerWheel<std::uint64_t> wheel OVSX_GUARDED_BY(mu);
+    // Wheel nodes whose connection is already gone (torn down by RST).
+    std::size_t stale_nodes OVSX_GUARDED_BY(mu) = 0;
+
+    // Drops every stale node in one pass once they outnumber the live
+    // connections: with no idle timeout no expiry pass would ever reach
+    // them. Keeps the wheel within 2 x live + 1 nodes at amortized O(1)
+    // per teardown.
+    void drop_stale_nodes_if_outnumbered() OVSX_REQUIRES(mu)
+    {
+        if (stale_nodes <= conns.size()) return;
+        wheel.compact([this](std::uint64_t id) { return conns.contains(id); });
+        stale_nodes = 0;
+    }
 };
 
 // Locks every shard in ascending index order. Shard mutexes are
@@ -185,6 +198,7 @@ void Conntrack::reshard(std::uint32_t n)
             s->index.clear();
             s->conns.clear();
             s->wheel.clear();
+            s->stale_nodes = 0;
         }
     }
     std::sort(entries.begin(), entries.end(),
@@ -253,6 +267,7 @@ void Conntrack::flush()
         s->index.clear();
         s->conns.clear();
         s->wheel.clear();
+        s->stale_nodes = 0;
     }
     {
         sync::LockGuard zguard(zones_mu_);
@@ -414,6 +429,8 @@ std::uint8_t Conntrack::process_routed(net::Packet& pkt, const net::FlowKey& key
             // RST tears the connection down: the next SYN on this tuple
             // starts a fresh NEW connection.
             erase_entry_routed(ref);
+            ++osh.stale_nodes; // its wheel node stays filed
+            osh.drop_stale_nodes_if_outnumbered();
         }
         return finish(state);
     }
@@ -566,7 +583,10 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
         const Wheel::ExpireStats st = s.wheel.expire(cutoff, [&](std::uint64_t id,
                                                                  sim::Nanos& last_seen) {
             auto it = s.conns.find(id);
-            if (it == s.conns.end()) return Wheel::Verdict::Stale; // entry already gone
+            if (it == s.conns.end()) {
+                if (s.stale_nodes > 0) --s.stale_nodes;
+                return Wheel::Verdict::Stale; // entry already gone
+            }
             CtEntry& e = it->second;
             if (e.last_seen >= cutoff) {
                 last_seen = e.last_seen; // refreshed since filing: refile once
@@ -593,6 +613,9 @@ std::size_t Conntrack::expire_idle(sim::Nanos cutoff)
             return Wheel::Verdict::Expired;
         });
         visited += st.visited;
+        // Expiry shrank the live set, possibly below the stale nodes
+        // still filed in later buckets.
+        s.drop_stale_nodes_if_outnumbered();
     }
     if (!cross.empty()) {
         AllShardsGuard all(*this);
@@ -679,8 +702,6 @@ void Conntrack::erase_entry_routed(const Ref& ref)
     san::audit_remove(san_scope_, profile_.audit_entry, ref.id, OVSX_SITE);
     if (it->second.nat) san::audit_remove(san_scope_, profile_.audit_nat, ref.id, OVSX_SITE);
     osh.conns.erase(it);
-    // The wheel node stays behind until its bucket is next due; the
-    // expiry liveness check then drops it as stale.
 }
 
 bool Conntrack::test_seam_leak_entry(const CtTuple& tuple)

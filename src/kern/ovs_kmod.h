@@ -105,7 +105,7 @@ public:
     // doorbell amortized over the burst), then each packet runs the
     // per-packet path — the kernel datapath has no compute batching,
     // which is exactly the paper's Table 4 story. Publishes the same
-    // batch.occupancy/batch.flush telemetry as the userspace spine.
+    // batch.occupancy/batch.flush telemetry as dpif-netdev.
     void receive_batch(std::uint32_t port_no, std::vector<net::Packet>&& pkts,
                        sim::ExecContext& ctx);
 

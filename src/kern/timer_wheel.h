@@ -16,16 +16,19 @@
 // early: every popped node's entry is checked against the cutoff.
 //
 // The caller resolves liveness: a popped node whose id is gone (the
-// connection was torn down by RST) is stale and is dropped; until an
-// expiry pass reaches its bucket it stays filed. The wheel holds plain ids, never pointers, so stale nodes
-// are harmless; ids come from a monotonically increasing counter and
-// are never reused.
+// connection was torn down by RST) is stale and is dropped. Until an
+// expiry pass reaches its bucket it stays filed, so a caller that tears
+// connections down outside expiry counts its stale nodes and calls
+// compact() once they outnumber the live ones. The wheel holds plain
+// ids, never pointers, so stale nodes are harmless; ids come from a
+// monotonically increasing counter and are never reused.
 //
 // Concurrency: externally locked. Each conntrack shard embeds one wheel
 // and accesses it only under that shard's mutex.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <utility>
 #include <vector>
@@ -103,6 +106,20 @@ public:
         }
         for (const auto& [id, t] : kept) enqueue(id, t);
         return st;
+    }
+
+    // Drops every node whose id fails `live(id)`, keeping filing order.
+    // O(nodes): run it only once stale nodes outnumber live ones, so
+    // each pass drops at least half the wheel.
+    template <typename Live> void compact(Live&& live)
+    {
+        for (auto it = buckets_.begin(); it != buckets_.end();) {
+            std::vector<Id>& ids = it->second;
+            const std::size_t before = ids.size();
+            std::erase_if(ids, [&](const Id& id) { return !live(id); });
+            nodes_ -= before - ids.size();
+            it = ids.empty() ? buckets_.erase(it) : std::next(it);
+        }
     }
 
     // Filed nodes, including stale ones not yet popped (diagnostics).

@@ -1,7 +1,6 @@
 #include "ovs/dpif_netdev.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -432,88 +431,21 @@ void DpifNetdev::admit(net::Packet& pkt, std::uint32_t in_port, sim::ExecContext
 void DpifNetdev::process_batch(std::uint32_t in_port, std::vector<net::Packet>&& batch,
                                sim::ExecContext& ctx)
 {
-    // No upcall handler or action polls a port, so the scratch batch
-    // and the output batches belong to exactly one burst at a time.
+    // No upcall handler or action polls a port, so the output batches
+    // belong to exactly one burst at a time.
     batching_outputs_ = true;
-    if (scalar_spine_) {
-        last_batch_occupancy_ = 1;
-        for (auto& pkt : batch) {
-            admit(pkt, in_port, ctx);
-            pipeline(std::move(pkt), ctx, 0);
-        }
-    } else {
-        // One scratch batch per datapath: constructing a PacketBatch
-        // zero-fills its key/hash sideband, which dominated single-packet
-        // bursts. Slots are written before they are read, so carry-over
-        // between cycles is dead data.
-        for (auto& pkt : batch) {
-            batch_scratch_.add(std::move(pkt));
-            if (batch_scratch_.full()) process_vector(in_port, ctx);
-        }
-        if (!batch_scratch_.empty()) process_vector(in_port, ctx);
+    OVSX_COVERAGE_CTX(ctx, "batch.flush");
+    OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", batch.size());
+    last_batch_occupancy_ = static_cast<std::uint16_t>(batch.size());
+    for (auto& pkt : batch) {
+        // The tunnel outer-header parse in admit() is miniflow
+        // extraction too, so it is profiled in the same stage.
+        obs::PerfStageScope parse_scope(ctx.perf(), obs::PerfStage::EmcLookup);
+        admit(pkt, in_port, ctx);
+        pipeline(std::move(pkt), ctx, 0);
     }
     batching_outputs_ = false;
     flush_output_batches(ctx);
-}
-
-// The VPP-style vector spine over batch_scratch_. Phase A runs the whole
-// burst through admit + key extraction with the next packet's EMC bucket
-// prefetched while the current one parses, then peeks the EMC
-// (stats-free) to collect the probable-miss set and classifies it
-// against the megaflow cache in one subtable-major pass. Phase B hands
-// every packet, strictly in arrival order, to the same resolve() the
-// scalar pipeline uses, so charges, counters, traces, EMC insert
-// sampling and side-effect order are identical to scalar by
-// construction. The batch lookup result is only a hint: resolve() drops
-// it whenever the real in-order EMC lookup hits anyway, and Phase B
-// withholds it once a mid-burst mutation (upcall flow_put, flow
-// removal) moved the megaflow epoch.
-void DpifNetdev::process_vector(std::uint32_t in_port, sim::ExecContext& ctx)
-{
-    constexpr std::size_t kCap = net::PacketBatch::kCapacity;
-    net::PacketBatch& vec = batch_scratch_;
-    const std::size_t n = vec.size();
-    OVSX_COVERAGE_CTX(ctx, "batch.flush");
-    OVSX_COVERAGE_CTX_N(ctx, "batch.occupancy", n);
-    last_batch_occupancy_ = static_cast<std::uint16_t>(n);
-
-    // ---- Phase A: admit + extract + prefetch -------------------------
-    obs::PerfStageScope parse_scope(ctx.perf(), obs::PerfStage::EmcLookup);
-    for (std::size_t i = 0; i < n; ++i) {
-        net::Packet& pkt = vec.pkt(i);
-        admit(pkt, in_port, ctx);
-        net::charge(ctx, pkt, costs_.parse_extract);
-        vec.key(i) = net::parse_flow(pkt);
-        vec.hash(i) = vec.key(i).hash();
-        // The bucket for packet i warms while packet i+1 parses.
-        emc_.prefetch(vec.hash(i));
-    }
-
-    // ---- Phase A2: one megaflow classify pass for the EMC-miss set ---
-    std::array<const net::FlowKey*, kCap> miss_keys;
-    std::array<MegaflowCache::LookupResult, kCap> miss_res;
-    std::array<const MegaflowCache::LookupResult*, kCap> hint;
-    hint.fill(nullptr);
-    std::size_t n_miss = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!emc_.peek(vec.key(i), vec.hash(i))) {
-            miss_keys[n_miss] = &vec.key(i);
-            hint[i] = &miss_res[n_miss++];
-        }
-    }
-    const std::uint64_t epoch = megaflow_.epoch();
-    if (n_miss > 0) megaflow_.lookup_batch(miss_keys.data(), n_miss, miss_res.data());
-
-    // ---- Phase B: in-order resolve + execute -------------------------
-    for (std::size_t i = 0; i < n; ++i) {
-        // Nothing resolve() does before its megaflow stage touches the
-        // classifier, so the epoch read here is the one the hint is
-        // consumed under. A stale hint (an earlier packet's upcall) is
-        // withheld and resolve() redoes the scalar lookup.
-        resolve(vec.take(i), vec.key(i), vec.hash(i),
-                megaflow_.epoch() == epoch ? hint[i] : nullptr, ctx, 0);
-    }
-    vec.clear();
 }
 
 void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
@@ -522,18 +454,13 @@ void DpifNetdev::pipeline(net::Packet&& pkt, sim::ExecContext& ctx, int depth)
         ++dropped_;
         return;
     }
+    obs::PmdPerf* perf = ctx.perf();
+
     // Miniflow extraction.
-    obs::PerfStageScope emc_scope(ctx.perf(), obs::PerfStage::EmcLookup);
+    obs::PerfStageScope emc_scope(perf, obs::PerfStage::EmcLookup);
     net::charge(ctx, pkt, costs_.parse_extract);
     const net::FlowKey key = net::parse_flow(pkt);
-    resolve(std::move(pkt), key, key.hash(), nullptr, ctx, depth);
-}
-
-void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64_t hash,
-                         const MegaflowCache::LookupResult* hint, sim::ExecContext& ctx,
-                         int depth)
-{
-    obs::PmdPerf* perf = ctx.perf();
+    const std::uint64_t hash = key.hash();
 
     // First level: EMC. Large lookup working sets spill out of the CPU
     // caches: one extra cold line per packet once the EMC holds many
@@ -556,17 +483,11 @@ void DpifNetdev::resolve(net::Packet&& pkt, const net::FlowKey& key, std::uint64
     OVSX_COVERAGE_CTX(ctx, "emc.miss");
     net::trace(pkt, obs::Hop::Emc, "miss");
 
-    // Second level: megaflow (tuple space search), or the vector
-    // spine's batch classification of this packet.
+    // Second level: megaflow (tuple space search).
     MegaflowCache::LookupResult res;
     {
         obs::PerfStageScope mf(perf, obs::PerfStage::MegaflowLookup);
-        if (hint) {
-            res = *hint;
-            megaflow_.commit(res);
-        } else {
-            res = megaflow_.lookup(key);
-        }
+        res = megaflow_.lookup(key);
         net::charge(ctx, pkt, static_cast<sim::Nanos>(res.probes) * costs_.megaflow_probe);
     }
     if (res.flow) {

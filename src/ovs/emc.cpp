@@ -66,32 +66,6 @@ CachedFlowPtr Emc::lookup_ref(const net::FlowKey& key, std::uint64_t hash)
     return nullptr;
 }
 
-const CachedFlow* Emc::peek(const net::FlowKey& key, std::uint64_t hash) const
-{
-    sync::LockGuard guard(mu_);
-    OVSX_SAN_ACCESS_AT(this, "ovs.emc", false);
-    if (table_.empty()) return nullptr;
-    const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
-    for (int w = 0; w < kWays; ++w) {
-        const Entry& e = table_[base + static_cast<std::size_t>(w)];
-        if (e.valid && e.hash == hash && e.key == key && !e.flow->dead) {
-            return e.flow.get();
-        }
-    }
-    return nullptr;
-}
-
-void Emc::prefetch(std::uint64_t hash) const
-{
-    if (table_.empty()) return;
-    const std::size_t base = static_cast<std::size_t>(hash & mask_) * kWays;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&table_[base], 0, 3);
-#else
-    (void)base;
-#endif
-}
-
 void Emc::insert(const net::FlowKey& key, std::uint64_t hash, CachedFlowPtr flow)
 {
     sync::LockGuard guard(mu_);

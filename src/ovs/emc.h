@@ -8,7 +8,7 @@
 // shares revalidator sweeps across PMDs, so the table is capability-
 // annotated and internally locked like the other shared tables: one
 // mutex ("ovs.emc") over the ways and the hit/miss stats, taken by
-// every public method. Entry pointers returned by lookup()/peek() stay
+// every public method. Entry pointers returned by lookup() stay
 // valid through shared ownership (CachedFlowPtr), not through the lock.
 #pragma once
 
@@ -57,19 +57,6 @@ public:
     // sweep invalidating the entry mid-burst.
     OVSX_HOT CachedFlowPtr lookup_ref(const net::FlowKey& key, std::uint64_t hash)
         OVSX_EXCLUDES(mu_);
-
-    // Read-only probe: no hit/miss accounting, no dead-entry eviction.
-    // The vector spine peeks in its classify phase to partition the
-    // burst, then resolves each packet in order with lookup()/
-    // lookup_ref() so stats and eviction happen exactly as scalar.
-    OVSX_HOT const CachedFlow* peek(const net::FlowKey& key, std::uint64_t hash) const
-        OVSX_EXCLUDES(mu_);
-
-    // Software prefetch of the 2-way bucket for `hash`, issued one
-    // packet ahead of the lookup stage. Runs unlocked by design: it
-    // only computes an address and issues a CPU hint, never reads an
-    // entry, and a stale address costs a wasted prefetch at worst.
-    OVSX_HOT void prefetch(std::uint64_t hash) const OVSX_NO_THREAD_SAFETY_ANALYSIS;
 
     // Inserts a full key -> flow association (on megaflow hit, so the
     // next packet of this microflow short-circuits).

@@ -194,61 +194,6 @@ MegaflowCache::LookupResult MegaflowCache::lookup(const net::FlowKey& key)
     return res;
 }
 
-void MegaflowCache::lookup_batch(const net::FlowKey* const keys[], std::size_t n,
-                                 LookupResult out[]) const
-{
-    for (std::size_t i = 0; i < n; ++i) out[i] = LookupResult{};
-    sync::EpochGuard pin(epoch_domain_);
-    // One skeleton load per shard for the whole burst: every key in
-    // the batch probes the same snapshot.
-    const ShardState* states[kMaxShards];
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-        states[s] = shards_[s]->state.load(std::memory_order_acquire);
-    }
-    const ShardState* oracle = states[0];
-    std::size_t unresolved = n;
-    for (std::size_t r = 0; r < oracle->subs.size() && unresolved > 0; ++r) {
-        const net::FlowMask& mask = oracle->subs[r].mask;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (out[i].flow) continue;
-            ++out[i].probes;
-            const std::uint64_t h = mask.masked_hash(*keys[i]);
-            const ShardState* st = states[shard_of_hash(h)];
-            if (r >= st->subs.size() || !(st->subs[r].mask == mask)) continue;
-            const BucketArray* ba = st->subs[r].buckets.get();
-            const Bucket* b =
-                ba->slots[(h >> shard_shift_) & (ba->cap - 1)].load(std::memory_order_acquire);
-            if (!b) continue;
-            for (const auto& flow : b->flows) {
-                if (!flow->dead.load(std::memory_order_relaxed) &&
-                    mask.matches(*keys[i], flow->masked_key)) {
-                    out[i].flow = flow;
-                    out[i].subtable = static_cast<int>(r);
-                    --unresolved;
-                    break;
-                }
-            }
-        }
-    }
-}
-
-void MegaflowCache::commit(const LookupResult& res)
-{
-    if (res.flow) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (res.subtable >= 0) {
-            sync::EpochGuard pin(epoch_domain_);
-            const ShardState* oracle = shards_[0]->state.load(std::memory_order_acquire);
-            if (static_cast<std::size_t>(res.subtable) < oracle->subs.size()) {
-                oracle->subs[static_cast<std::size_t>(res.subtable)]
-                    .stats->hit_count.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    } else {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
 CachedFlowPtr MegaflowCache::insert_into(std::uint32_t s, std::size_t r,
                                          const net::FlowKey& masked, std::uint64_t h,
                                          const net::FlowMask& mask, CachedFlowPtr flow)
@@ -330,10 +275,6 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
         const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
         for (std::size_t r = 0; r < st->subs.size(); ++r) {
             if (st->subs[r].mask == mask) {
-                // Release store: a lock-free epoch() reader that
-                // observes the bump also observes the mutation that
-                // caused it (the bucket slot's own release store).
-                epoch_.fetch_add(1, std::memory_order_release);
                 return insert_into(s, r, masked, h, mask, std::move(flow));
             }
         }
@@ -343,7 +284,6 @@ CachedFlowPtr MegaflowCache::insert(const net::FlowKey& key, const net::FlowMask
     // skeleton so the probe order stays identical across shards.
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     // Re-check: another writer may have added the mask between the
     // fast-path unlock and this all-shard lock.
     const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
@@ -381,7 +321,6 @@ bool MegaflowCache::remove(const net::FlowKey& key, const net::FlowMask& mask)
         if (!old) return false;
         for (std::size_t j = 0; j < old->flows.size(); ++j) {
             if (!(old->flows[j]->masked_key == masked)) continue;
-            epoch_.fetch_add(1, std::memory_order_release);
             old->flows[j]->dead.store(true, std::memory_order_release);
             Bucket* next = nullptr;
             if (old->flows.size() > 1) {
@@ -408,7 +347,6 @@ void MegaflowCache::clear()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     for (std::uint32_t i = 0; i < nshards_; ++i) {
         const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
         for (const auto& sub : cur->subs) {
@@ -466,7 +404,6 @@ std::size_t MegaflowCache::expire_idle()
 {
     AllShardsGuard guard(*this);
     for (const auto& sh : shards_) OVSX_SAN_ACCESS_AT(sh.get(), "ovs.megaflow", true);
-    epoch_.fetch_add(1, std::memory_order_release);
     std::size_t removed = 0;
     for (std::uint32_t s = 0; s < nshards_; ++s) {
         const ShardState* st = shards_[s]->state.load(std::memory_order_relaxed);
@@ -544,7 +481,6 @@ void MegaflowCache::rerank()
     for (const std::size_t r : order) {
         if (!empty(r)) kept.push_back(r);
     }
-    epoch_.fetch_add(1, std::memory_order_release);
     for (std::uint32_t i = 0; i < nshards_; ++i) {
         const ShardState* cur = shards_[i]->state.load(std::memory_order_relaxed);
         auto* next = new ShardState;
@@ -610,7 +546,6 @@ void MegaflowCache::reshard(std::uint32_t n)
             }
         }
     }
-    epoch_.fetch_add(1, std::memory_order_release);
     // Config-time contract: no concurrent readers or writers. Drain
     // the reclamation backlog, then swap the shard array wholesale.
     epoch_domain_.synchronize();

@@ -8,8 +8,8 @@
 // mutex per shard ("ovs.megaflow.shard.<i>"). Lookups take NO lock:
 // each shard publishes an immutable subtable skeleton through an
 // atomic pointer and readers pin a sync/epoch.h domain for the length
-// of the probe, so a whole batch classifies lock-free while writers
-// copy-on-write individual hash buckets under their shard's lock.
+// of the probe, so lookups run lock-free while writers copy-on-write
+// individual hash buckets under their shard's lock.
 // Structural changes (a new mask, rerank, clear, expire) lock every
 // shard in ascending order and republish every skeleton so the probe
 // order stays identical across shards. Shard 0's skeleton is the probe
@@ -44,7 +44,6 @@ public:
     struct LookupResult {
         CachedFlowPtr flow; // null on miss
         int probes = 0;     // subtables probed (drives lookup cost)
-        int subtable = -1;  // index of the matching subtable (batch commit)
     };
 
     explicit MegaflowCache(std::uint32_t shards = 1);
@@ -53,29 +52,6 @@ public:
     // Lock-free (epoch-pinned) classification of one key; applies the
     // hit/miss and subtable-ranking stats through atomics.
     OVSX_HOT LookupResult lookup(const net::FlowKey& key);
-
-    // Stats-free classification of a whole burst in one subtable-major
-    // pass: each subtable's mask is applied to every still-unresolved
-    // key before moving to the next subtable, so the mask and its
-    // buckets stay hot across the vector (the VPP trick). Probe counts
-    // match what per-packet lookup() would report. Pair each result
-    // with commit() — in packet order — to apply the hit/miss and
-    // ranking stats, or redo lookup() per packet if epoch() moved.
-    // Lock-free: the batch runs under one epoch pin, no shard lock.
-    OVSX_HOT void lookup_batch(const net::FlowKey* const keys[], std::size_t n,
-                               LookupResult out[]) const;
-
-    // Applies the stats lookup() would have recorded for `res`. Only
-    // valid while epoch() still equals the value snapshotted before
-    // lookup_batch (subtable indices are stable across an epoch).
-    OVSX_HOT void commit(const LookupResult& res);
-
-    // Bumped by any structural mutation (insert/remove/expire/clear, a
-    // rerank that moves or drops a subtable); lets a batched lookup
-    // detect that its snapshot went stale. Lock-free: the release store
-    // in mutators pairs with this acquire so a reader that sees the new
-    // epoch also sees the mutation it tags.
-    std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
     // Installs a flow; replaces an existing identical masked entry.
     CachedFlowPtr insert(const net::FlowKey& key, const net::FlowMask& mask,
@@ -155,8 +131,6 @@ private:
     mutable sync::EpochDomain epoch_domain_{"ovs.megaflow"};
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
-    // Written under shard locks, read lock-free by epoch().
-    std::atomic<std::uint64_t> epoch_{0};
     std::uint64_t san_scope_ = san::new_scope();
     std::uint64_t shards_token_ = 0;
 };

@@ -100,7 +100,7 @@ struct CostModel {
     Nanos dpdk_tx_desc = 12;
     Nanos mbuf_op = 7;       // mbuf alloc/free from the mempool cache
     // One uncached MMIO write to the NIC tail register, paid once per
-    // burst (the doorbell the vector spine amortizes over the batch).
+    // rx or tx burst, so a full burst amortizes it over 32 packets.
     Nanos nic_doorbell = 90;
 
     // ---- userspace datapath misc --------------------------------------------

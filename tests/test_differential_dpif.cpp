@@ -525,20 +525,25 @@ TEST(DifferentialFuzz, MultiQueueRssSeedClean)
     expect_explained_allowlisted(report);
 }
 
-// ---- batch-vs-scalar: the vector spine against its own scalar twin -----
+// ---- hazard corpora across all three providers --------------------------
 //
-// Unlike the cross-datapath comparisons above, both sides here run the
-// SAME provider on the same ruleset, so there is no allowlist: any
-// divergence — verdict, flow table, conntrack, semantic counters — is a
-// bug in the batch path. Each corpus targets a batch hazard: ct+NAT
-// (per-packet fallback + state carried between packets of one burst),
-// fragments (malformed/partial headers in the middle of a burst), VLAN
-// (push/pop rewrites), and tunnel encaps (decap changing the key mid-
-// burst).
+// Small hand-built sequences, each aimed at one state-carrying hazard:
+// ct+NAT (a binding created by one packet and consumed by the next),
+// fragments (partial headers), VLAN (push/pop rewrites) and tunnel
+// encaps (decap changing the key). None of them touches a feature on
+// the allowlist, so every provider must agree and nothing may even be
+// explained away.
 
-const DpKind kAllKinds[] = {DpKind::Netdev, DpKind::Kernel, DpKind::Ebpf};
+void expect_all_providers_agree(const DiffRuleset& rs, const std::vector<DiffPacket>& seq)
+{
+    DifferentialHarness harness(rs);
+    const DiffReport report = harness.run(seq);
+    EXPECT_EQ(report.packets_run, seq.size());
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_TRUE(report.explained.empty()) << report.summary();
+}
 
-TEST(BatchVsScalar, CtNatCorpusAgreesOnEveryProvider)
+TEST(DifferentialCorpus, CtNatCorpusAgreesAcrossProviders)
 {
     DiffRuleset rs;
     {
@@ -562,8 +567,7 @@ TEST(BatchVsScalar, CtNatCorpusAgreesOnEveryProvider)
 
     std::vector<DiffPacket> seq;
     // Three NATed connections, a reply that must de-NAT through the
-    // binding the *batch* created, then established re-hits — all close
-    // enough together to land in one burst.
+    // binding the first packet created, then established re-hits.
     for (std::uint16_t i = 0; i < 3; ++i) {
         seq.push_back({0, udp(static_cast<std::uint16_t>(7000 + i), 80)});
     }
@@ -581,20 +585,14 @@ TEST(BatchVsScalar, CtNatCorpusAgreesOnEveryProvider)
         seq.push_back({0, udp(static_cast<std::uint16_t>(7000 + i), 80)});
     }
 
-    for (const DpKind kind : kAllKinds) {
-        DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
-        EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
-        EXPECT_TRUE(report.explained.empty()) << to_string(kind);
-    }
+    expect_all_providers_agree(rs, seq);
 }
 
-TEST(BatchVsScalar, FragmentCorpusAgreesOnEveryProvider)
+TEST(DifferentialCorpus, FragmentCorpusAgreesAcrossProviders)
 {
     // Wildcard forward plus an L4-match rule the non-first fragments
-    // cannot hit (their transport header is missing): fragment handling
-    // must classify identically whether the frags arrive mid-burst or
-    // one at a time.
+    // cannot hit (their transport header is missing): every provider
+    // must classify the fragments identically.
     DiffRuleset rs;
     {
         DiffRule r = rule(40, {kern::OdpAction::output(2)});
@@ -614,15 +612,10 @@ TEST(BatchVsScalar, FragmentCorpusAgreesOnEveryProvider)
         seq.push_back({0, std::move(whole)});                    // unfragmented control
     }
 
-    for (const DpKind kind : kAllKinds) {
-        DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
-        EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
-        EXPECT_TRUE(report.explained.empty()) << to_string(kind);
-    }
+    expect_all_providers_agree(rs, seq);
 }
 
-TEST(BatchVsScalar, VlanCorpusAgreesOnEveryProvider)
+TEST(DifferentialCorpus, VlanCorpusAgreesAcrossProviders)
 {
     DiffRuleset rs;
     {
@@ -638,25 +631,20 @@ TEST(BatchVsScalar, VlanCorpusAgreesOnEveryProvider)
 
     std::vector<DiffPacket> seq;
     for (std::uint16_t i = 0; i < 6; ++i) {
-        // Interleave tagged and untagged so one burst holds both and
-        // the batch path must keep the rewrites per-slot.
+        // Interleave tagged and untagged so consecutive packets take
+        // opposite rewrites.
         seq.push_back({0, udp(static_cast<std::uint16_t>(8100 + i), 53,
                               (i % 2) ? std::uint16_t{0x1064} : std::uint16_t{0})});
     }
 
-    for (const DpKind kind : kAllKinds) {
-        DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
-        EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
-        EXPECT_TRUE(report.explained.empty()) << to_string(kind);
-    }
+    expect_all_providers_agree(rs, seq);
 }
 
-TEST(BatchVsScalar, TunnelEncapCorpusAgreesOnEveryProvider)
+TEST(DifferentialCorpus, TunnelEncapCorpusAgreesAcrossProviders)
 {
     // Pre-encapsulated Geneve/VXLAN frames mixed with plain traffic:
-    // decap rewrites the flow key mid-burst, the exact case where a
-    // stale batched key would misclassify.
+    // each provider must forward the outer frames under the same key
+    // it computes for plain UDP.
     DiffRuleset rs;
     rs.rules.push_back(rule(10, {kern::OdpAction::output(1)}));
 
@@ -688,30 +676,7 @@ TEST(BatchVsScalar, TunnelEncapCorpusAgreesOnEveryProvider)
         seq.push_back({0, encapped(net::TunnelType::Vxlan, 5 + i, 2100 + i)});
     }
 
-    for (const DpKind kind : kAllKinds) {
-        DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, kind, 8);
-        EXPECT_TRUE(report.ok()) << to_string(kind) << ": " << report.summary();
-        EXPECT_TRUE(report.explained.empty()) << to_string(kind);
-    }
-}
-
-TEST(BatchVsScalar, DegeneratePartialAndFullBurstsAllAgree)
-{
-    // batch_size 1 (every burst degenerate), 5 (never aligns with the
-    // sequence length), and 32 (full vector) must all be equivalent to
-    // the scalar spine on the same traffic.
-    DiffRuleset rs;
-    rs.rules.push_back(rule(10, {kern::OdpAction::output(1)}));
-    std::vector<DiffPacket> seq;
-    for (std::uint16_t i = 0; i < 37; ++i) {
-        seq.push_back({i % 2, udp(static_cast<std::uint16_t>(9000 + i), 53)});
-    }
-    for (const std::size_t batch_size : {1u, 5u, 32u}) {
-        DifferentialHarness harness(rs);
-        const DiffReport report = harness.run_batch_vs_scalar(seq, DpKind::Netdev, batch_size);
-        EXPECT_TRUE(report.ok()) << "b=" << batch_size << ": " << report.summary();
-    }
+    expect_all_providers_agree(rs, seq);
 }
 
 } // namespace

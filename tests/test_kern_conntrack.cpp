@@ -307,6 +307,27 @@ TEST_P(ConntrackTest, WheelHoldsOneNodePerConnectionWithoutIdleTimeout)
     EXPECT_EQ(nodes->as_uint(), ct.wheel_nodes());
 }
 
+TEST_P(ConntrackTest, RstTeardownsDoNotGrowTheWheelWithoutIdleTimeout)
+{
+    // No idle timeout, so no expiry pass ever reaches the wheel node of
+    // a connection closed by RST; the shard drops such nodes itself once
+    // they outnumber its live connections.
+    constexpr int kConns = 1000;
+    sim::Nanos now = 0;
+    for (int c = 0; c < kConns; ++c) {
+        const auto sport = static_cast<std::uint16_t>(1000 + c);
+        auto syn = packet(ipv4(10, 0, 0, 1), ipv4(10, 0, 1, 1), sport, 80, net::kTcpSyn);
+        run(syn, commit_spec(), now);
+        auto rst = packet(ipv4(10, 0, 0, 1), ipv4(10, 0, 1, 1), sport, 80, net::kTcpRst);
+        run(rst, commit_spec(), now);
+        ct.tick(now);
+        ASSERT_LE(ct.wheel_nodes(), 2 * ct.size() + 1) << "connection " << c;
+        now += kQuantum / 4;
+    }
+    EXPECT_EQ(ct.size(), 0u);
+    EXPECT_LE(ct.wheel_nodes(), 2 * ct.size() + 1);
+}
+
 TEST_P(ConntrackTest, RefreshedConnectionExpiresOneTimeoutAfterLastPacket)
 {
     const sim::Nanos timeout = 8 * kQuantum;
