@@ -114,6 +114,12 @@ int main(int argc, char** argv)
     std::size_t packets = 0;
     std::size_t explained = 0;
     std::size_t fabric_frames = 0;
+    // batch.occupancy / batch.flush deltas taken around the fabric legs
+    // injected at burst 8 and 32 only: the cross-provider legs pin
+    // their bursts at 1, so the run-wide average cannot show whether
+    // any burst ever held more than one packet.
+    std::uint64_t burst_occupancy = 0;
+    std::uint64_t burst_flushes = 0;
 
     std::printf("fuzz soak: base_seed=%llu budget=%.1fs count=%zu\n",
                 static_cast<unsigned long long>(base_seed), seconds, count);
@@ -144,8 +150,14 @@ int main(int argc, char** argv)
         // run per provider with INT stamping on, at the rotated burst
         // size, diffed for delivery and journey divergence.
         if ((iterations % 4) == 0) {
+            const std::uint64_t occ0 = coverage_count("batch.occupancy");
+            const std::uint64_t flush0 = coverage_count("batch.flush");
             const auto fr = ovsx::fabric::run_fabric_differential(3, 2, burst);
             fabric_frames += fr.frames_sent;
+            if (burst > 1) {
+                burst_occupancy += coverage_count("batch.occupancy") - occ0;
+                burst_flushes += coverage_count("batch.flush") - flush0;
+            }
             if (!fr.ok()) {
                 std::printf("FAIL: fabric divergence at iteration=%zu burst=%zu\n%s\n",
                             iterations, burst, fr.summary().c_str());
@@ -185,10 +197,27 @@ int main(int argc, char** argv)
     // the rotated burst sizes).
     const std::uint64_t occupancy = coverage_count("batch.occupancy");
     const std::uint64_t flushes = coverage_count("batch.flush");
+    auto avg = [](std::uint64_t pkts, std::uint64_t n) {
+        return n ? static_cast<double>(pkts) / static_cast<double>(n) : 0.0;
+    };
     std::printf("bursts: %llu packets over %llu flushes (avg occupancy %.2f)\n",
                 static_cast<unsigned long long>(occupancy),
-                static_cast<unsigned long long>(flushes),
-                flushes ? static_cast<double>(occupancy) / static_cast<double>(flushes) : 0.0);
+                static_cast<unsigned long long>(flushes), avg(occupancy, flushes));
+    const double burst_avg = avg(burst_occupancy, burst_flushes);
+    std::printf("fabric bursts 8/32: %llu packets over %llu flushes (avg occupancy %.2f)\n",
+                static_cast<unsigned long long>(burst_occupancy),
+                static_cast<unsigned long long>(burst_flushes), burst_avg);
+    ovsx::obs::metrics_set("soak.fabric_burst_occupancy", ovsx::obs::Value(burst_avg));
+    // Burst guard: a fabric leg injected 8 or 32 at a time whose
+    // datapaths still flush one packet per burst is not batching. Runs
+    // too short to reach a burst-8 fabric leg (iteration 4) skip it.
+    if (iterations > 4 && burst_avg <= 1.0) {
+        std::printf("FAIL: fabric legs at burst 8/32 average %.2f packets per flush\n",
+                    burst_avg);
+        ovsx::obs::metrics_set("soak.result", ovsx::obs::Value("fail"));
+        ovsx::gen::metrics_flush_from_env();
+        return 1;
+    }
 
     // Profiler-overhead guard: interleaved profiler-off / profiler-on
     // legs of a fixed deterministic workload. min-of-reps per side

@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the real data
 // structures under the simulation: flow-key parsing and hashing, the
-// EMC, the megaflow classifier, SPSC rings, the eBPF interpreter and
-// verifier, tunnel encap/decap, checksums and conntrack. These measure
+// EMC, the megaflow classifier, the ofproto classifier under the NSX
+// ruleset, SPSC rings, the eBPF interpreter and verifier, tunnel
+// encap/decap, checksums and conntrack. These measure
 // *this implementation's* actual speed on the host CPU, complementing
 // the virtual-time benches.
 #include <benchmark/benchmark.h>
@@ -13,10 +14,14 @@
 #include "gen/traffic.h"
 #include "net/builder.h"
 #include "net/checksum.h"
+#include "net/headers.h"
 #include "net/tunnel.h"
+#include "nsx/nsx.h"
 #include "ovs/ct.h"
+#include "ovs/dpif_netdev.h"
 #include "ovs/emc.h"
 #include "ovs/megaflow.h"
+#include "sim/rng.h"
 
 using namespace ovsx;
 
@@ -85,6 +90,54 @@ void BM_MegaflowLookup(benchmark::State& state)
     }
 }
 BENCHMARK(BM_MegaflowLookup)->Arg(1)->Arg(4)->Arg(16);
+
+// Slow-path translation through the full Table 3 ruleset (~103k rules
+// in 40 tables): each iteration translates one of 4096 seeded TCP keys
+// from VM0 to a random VM and follows the recirculation with an
+// established conntrack verdict, so each key takes two passes
+// (classification and ct, then DFW and egress).
+void BM_OfprotoXlateNsx(benchmark::State& state)
+{
+    kern::Kernel host("host");
+    ovs::VSwitch vswitch(std::make_unique<ovs::DpifNetdev>(host));
+    const nsx::NsxConfig cfg = nsx::make_production_config(
+        net::ipv4(172, 16, 0, 1), /*tunnel_of_port=*/3, {1, 2}, 1, 15, 291);
+    nsx::NsxAgent agent(vswitch, cfg);
+    agent.deploy();
+    const ovs::Ofproto& of = vswitch.ofproto();
+
+    sim::Rng rng(1);
+    std::vector<net::FlowKey> keys;
+    for (int i = 0; i < 4096; ++i) {
+        const nsx::VmSpec& dst = cfg.vms[rng.below(cfg.vms.size())];
+        net::TcpSpec spec;
+        spec.src_mac = cfg.vms[0].mac;
+        spec.dst_mac = dst.mac;
+        spec.src_ip = cfg.vms[0].ip;
+        spec.dst_ip = dst.ip;
+        spec.src_port = static_cast<std::uint16_t>(1024 + rng.below(60000));
+        spec.dst_port = static_cast<std::uint16_t>(rng.below(4) ? 443 : rng.u16());
+        spec.flags = net::kTcpAck;
+        net::Packet p = net::build_tcp(spec);
+        p.meta().in_port = cfg.vms[0].of_port;
+        keys.push_back(net::parse_flow(p));
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        net::FlowKey key = keys[i++ & 4095];
+        for (int pass = 0; pass < 3; ++pass) {
+            const ovs::XlateResult res = of.xlate(key);
+            benchmark::DoNotOptimize(res.wildcards);
+            if (res.actions.empty() || res.actions.back().type != kern::OdpAction::Type::Recirc) {
+                break;
+            }
+            key.recirc_id = res.actions.back().recirc_id;
+            key.ct_state = net::kCtStateTracked | net::kCtStateEstablished;
+            key.ct_zone = res.actions[res.actions.size() - 2].ct.zone;
+        }
+    }
+}
+BENCHMARK(BM_OfprotoXlateNsx);
 
 void BM_SpscRing(benchmark::State& state)
 {

@@ -394,7 +394,7 @@ struct Fabric::Impl {
             });
             leaf_dev->connect_wire([this, host, link](net::Packet&& p) {
                 LinkState::cross(link->ba, link->extra_ba, p);
-                if (host->provider == HostProvider::Ebpf && !shim_ingress(*host, p)) return;
+                if (host->provider == HostProvider::Ebpf && !shim_ingress(p)) return;
                 host->uplink->rx_from_wire(std::move(p));
             });
         }
@@ -480,7 +480,7 @@ struct Fabric::Impl {
         if (net::int_stamp(pkt, hop)) OVSX_COVERAGE_CTX(shim_ctx, "int.stamped");
     }
 
-    bool shim_ingress(Host& host, net::Packet& pkt)
+    bool shim_ingress(net::Packet& pkt)
     {
         auto res = net::decapsulate(pkt, net::TunnelType::Geneve);
         if (!res) return false; // non-tunnel noise never reaches the datapath

@@ -300,11 +300,6 @@ struct DifferentialHarness::Instance {
         return v;
     }
 
-    std::size_t datapath_flow_count() const
-    {
-        return kind == DpKind::Kernel ? kdp->flow_count() : dpif->flow_count();
-    }
-
     std::vector<kern::CtSnapshotEntry> ct_snapshot() const
     {
         return kind == DpKind::Netdev ? netdev->ct().snapshot() : kernel->conntrack().snapshot();

@@ -7,34 +7,14 @@
 
 namespace ovsx::net {
 
-namespace {
-
-// The key structs are laid out with explicit zeroed padding and a size
-// that is a multiple of 8, so they can be processed as 64-bit lanes
-// (via memcpy, which compiles to plain loads). The byte-at-a-time
-// versions of hash/apply/matches were the hottest functions of the
-// differential soak.
-constexpr std::size_t kKeyLanes = sizeof(FlowKey) / sizeof(std::uint64_t);
-static_assert(sizeof(FlowKey) % sizeof(std::uint64_t) == 0,
-              "FlowKey must be a whole number of 64-bit lanes");
-
-inline std::uint64_t lane(const void* base, std::size_t i)
-{
-    std::uint64_t w;
-    std::memcpy(&w, static_cast<const std::uint8_t*>(base) + i * sizeof w, sizeof w);
-    return w;
-}
-
-} // namespace
-
 std::uint64_t FlowKey::hash(std::uint64_t basis) const
 {
     // Word-at-a-time hash with a splitmix64-style avalanche per lane;
     // all padding is explicitly zeroed by the constructor so hashing
     // raw memory is well-defined.
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ basis;
-    for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        std::uint64_t w = lane(this, i);
+    for (std::size_t i = 0; i < kFlowKeyLanes; ++i) {
+        std::uint64_t w = key_lane(*this, i);
         w *= 0xbf58476d1ce4e5b9ULL;
         w ^= w >> 31;
         w *= 0x94d049bb133111ebULL;
@@ -72,8 +52,8 @@ std::uint64_t FlowMask::masked_hash(const FlowKey& key, std::uint64_t basis) con
     // Must stay bit-identical to apply(key).hash(basis): megaflow
     // buckets are keyed by the insert-time masked hash.
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ basis;
-    for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        std::uint64_t w = lane(&key, i) & lane(&bits, i);
+    for (std::size_t i = 0; i < kFlowKeyLanes; ++i) {
+        std::uint64_t w = key_lane(key, i) & key_lane(bits, i);
         w *= 0xbf58476d1ce4e5b9ULL;
         w ^= w >> 31;
         w *= 0x94d049bb133111ebULL;
@@ -87,8 +67,8 @@ FlowKey FlowMask::apply(const FlowKey& key) const
 {
     FlowKey out;
     auto* o = reinterpret_cast<std::uint8_t*>(&out);
-    for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        const std::uint64_t w = lane(&key, i) & lane(&bits, i);
+    for (std::size_t i = 0; i < kFlowKeyLanes; ++i) {
+        const std::uint64_t w = key_lane(key, i) & key_lane(bits, i);
         std::memcpy(o + i * sizeof w, &w, sizeof w);
     }
     return out;
@@ -96,17 +76,17 @@ FlowKey FlowMask::apply(const FlowKey& key) const
 
 bool FlowMask::matches(const FlowKey& key, const FlowKey& masked_key) const
 {
-    for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        if ((lane(&key, i) & lane(&bits, i)) != lane(&masked_key, i)) return false;
+    for (std::size_t i = 0; i < kFlowKeyLanes; ++i) {
+        if ((key_lane(key, i) & key_lane(bits, i)) != key_lane(masked_key, i)) return false;
     }
     return true;
 }
 
 bool FlowMask::same_masked(const FlowKey& a, const FlowKey& b) const
 {
-    for (std::size_t i = 0; i < kKeyLanes; ++i) {
-        const std::uint64_t m = lane(&bits, i);
-        if ((lane(&a, i) & m) != (lane(&b, i) & m)) return false;
+    for (std::size_t i = 0; i < kFlowKeyLanes; ++i) {
+        const std::uint64_t m = key_lane(bits, i);
+        if ((key_lane(a, i) & m) != (key_lane(b, i) & m)) return false;
     }
     return true;
 }

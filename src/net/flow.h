@@ -82,6 +82,22 @@ struct FlowKey {
 // No implicit padding anywhere: raw-memory hash/equality are well-defined.
 static_assert(std::has_unique_object_representations_v<FlowKey>);
 
+// A FlowKey is a whole number of 64-bit lanes, so keys and masks can be
+// hashed, masked and compared a lane at a time (via memcpy, which
+// compiles to plain loads). The byte-at-a-time versions of
+// hash/apply/matches were the hottest functions of the differential
+// soak.
+constexpr std::size_t kFlowKeyLanes = sizeof(FlowKey) / sizeof(std::uint64_t);
+static_assert(sizeof(FlowKey) % sizeof(std::uint64_t) == 0,
+              "FlowKey must be a whole number of 64-bit lanes");
+
+inline std::uint64_t key_lane(const FlowKey& key, std::size_t i)
+{
+    std::uint64_t w;
+    std::memcpy(&w, reinterpret_cast<const std::uint8_t*>(&key) + i * sizeof w, sizeof w);
+    return w;
+}
+
 // Wildcard mask over FlowKey: a bit set to 1 means "match this bit".
 // Stored as a FlowKey whose field values are the masks themselves.
 struct FlowMask {

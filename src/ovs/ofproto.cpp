@@ -5,7 +5,17 @@
 #include <iterator>
 #include <set>
 
+#include "obs/appctl.h"
+
 namespace ovsx::ovs {
+
+namespace {
+
+// Index slot layout: the hash's high 32 bits above 1 + the rule index.
+constexpr std::uint64_t kFingerprint = 0xffffffff00000000ULL;
+constexpr std::size_t kMinIndexSlots = 8;
+
+} // namespace
 
 OfAction OfAction::output(std::uint32_t port)
 {
@@ -77,7 +87,121 @@ OfAction OfAction::drop()
     return a;
 }
 
-Ofproto::Ofproto() = default;
+Ofproto::Ofproto()
+{
+    obs_token_ = obs::memory_register("ovs.ofproto", [this] {
+        // Ofproto has no lock: like add_rule, this runs on the control
+        // thread. `bytes` is what the rule storage holds: the
+        // capacities of the subtable vectors and of the interned action
+        // lists.
+        std::size_t subtables = 0, key_lanes = 0, index_slots = 0;
+        std::size_t bytes = 0;
+        for (const auto& [id, table] : tables_) {
+            subtables += table.subtables.size();
+            bytes += table.subtables.capacity() * sizeof(Subtable);
+            for (const Subtable& sub : table.subtables) {
+                key_lanes += sub.keys.size();
+                index_slots += sub.index.size();
+                bytes += sub.keys.capacity() * sizeof(std::uint64_t) +
+                         sub.rules.capacity() * sizeof(Rule) +
+                         sub.index.capacity() * sizeof(std::uint64_t);
+            }
+        }
+        for (const OfActionList& list : action_lists_) {
+            bytes += list.capacity() * sizeof(OfAction);
+        }
+        obs::Value v = obs::Value::object();
+        v.set("rules", static_cast<std::uint64_t>(rule_count_));
+        v.set("subtables", static_cast<std::uint64_t>(subtables));
+        v.set("action_lists", static_cast<std::uint64_t>(action_lists_.size()));
+        v.set("key_lanes", static_cast<std::uint64_t>(key_lanes));
+        v.set("index_slots", static_cast<std::uint64_t>(index_slots));
+        v.set("bytes", static_cast<std::uint64_t>(bytes));
+        return v;
+    });
+}
+
+Ofproto::~Ofproto()
+{
+    obs::memory_unregister(obs_token_);
+}
+
+Ofproto::Subtable::Subtable(const net::FlowMask& m, std::int32_t priority, std::size_t creation)
+    : mask(m), max_priority(priority), created(creation)
+{
+    for (std::size_t i = 0; i < net::kFlowKeyLanes; ++i) {
+        if (net::key_lane(mask.bits, i) != 0) lanes[n_lanes++] = static_cast<std::uint8_t>(i);
+    }
+    index.assign(kMinIndexSlots, 0);
+}
+
+void Ofproto::Subtable::add(const net::FlowKey& key, Rule rule)
+{
+    const std::size_t i = rules.size();
+    for (std::size_t j = 0; j < n_lanes; ++j) {
+        keys.push_back(net::key_lane(key, lanes[j]) & net::key_lane(mask.bits, lanes[j]));
+    }
+    rules.push_back(rule);
+    if (4 * rules.size() > 3 * index.size()) {
+        rebuild_index(2 * index.size());
+    } else {
+        insert_slot(mask.masked_hash(key), i);
+    }
+}
+
+void Ofproto::Subtable::rebuild_index(std::size_t slots)
+{
+    // No hash is stored per rule: re-hash each masked key, put back
+    // together from its lanes.
+    index.assign(slots, 0);
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        net::FlowKey masked;
+        auto* out = reinterpret_cast<std::uint8_t*>(&masked);
+        for (std::size_t j = 0; j < n_lanes; ++j) {
+            std::memcpy(out + lanes[j] * sizeof(std::uint64_t), &keys[i * n_lanes + j],
+                        sizeof(std::uint64_t));
+        }
+        insert_slot(masked.hash(), i);
+    }
+}
+
+void Ofproto::Subtable::insert_slot(std::uint64_t hash, std::size_t i)
+{
+    const std::size_t wrap = index.size() - 1;
+    std::size_t pos = hash & wrap;
+    while (index[pos] != 0) pos = (pos + 1) & wrap;
+    index[pos] = (hash & kFingerprint) | (i + 1);
+}
+
+bool Ofproto::Subtable::matches(const net::FlowKey& key, std::size_t i) const
+{
+    const std::uint64_t* k = keys.data() + i * n_lanes;
+    for (std::size_t j = 0; j < n_lanes; ++j) {
+        const std::size_t l = lanes[j];
+        if ((net::key_lane(key, l) & net::key_lane(mask.bits, l)) != k[j]) return false;
+    }
+    return true;
+}
+
+const Ofproto::Rule* Ofproto::Subtable::find(const net::FlowKey& key) const
+{
+    const std::uint64_t hash = mask.masked_hash(key);
+    const std::size_t wrap = index.size() - 1;
+    const Rule* best = nullptr;
+    for (std::size_t pos = hash & wrap; index[pos] != 0; pos = (pos + 1) & wrap) {
+        const std::uint64_t slot = index[pos];
+        if ((slot & kFingerprint) != (hash & kFingerprint)) continue;
+        const std::size_t i = (slot & ~kFingerprint) - 1;
+        const Rule* rule = &rules[i];
+        // Among equal priorities the first-added rule (lowest index) wins.
+        if (best && (rule->priority < best->priority ||
+                     (rule->priority == best->priority && rule > best))) {
+            continue;
+        }
+        if (matches(key, i)) best = rule;
+    }
+    return best;
+}
 
 std::size_t Ofproto::ActionListHash::operator()(const OfActionList& list) const
 {
@@ -103,10 +227,7 @@ void Ofproto::add_rule(OfRule rule)
                             [&](const Subtable& s) { return s.mask == rule.match.mask; });
     bool reorder = false;
     if (sub == table.subtables.end()) {
-        table.subtables.push_back(Subtable{.mask = rule.match.mask,
-                                           .rules = {},
-                                           .max_priority = rule.priority,
-                                           .created = table.subtables.size()});
+        table.subtables.emplace_back(rule.match.mask, rule.priority, table.subtables.size());
         sub = std::prev(table.subtables.end());
         reorder = true;
     } else if (rule.priority > sub->max_priority) {
@@ -114,8 +235,7 @@ void Ofproto::add_rule(OfRule rule)
         reorder = true;
     }
     const OfActionList* actions = &*action_lists_.insert(std::move(rule.actions)).first;
-    sub->rules[rule.match.masked().hash()].push_back(
-        Rule{.key = rule.match.key, .priority = rule.priority, .actions = actions});
+    sub->add(rule.match.key, Rule{.priority = rule.priority, .actions = actions});
     if (reorder) {
         std::sort(table.subtables.begin(), table.subtables.end(),
                   [](const Subtable& a, const Subtable& b) {
@@ -211,16 +331,8 @@ const Ofproto::Rule* Ofproto::classify(const Table& table, const net::FlowKey& k
             std::memcpy(wc + i, &w, sizeof w);
         }
 
-        auto it = sub.rules.find(sub.mask.masked_hash(key));
-        if (it == sub.rules.end()) continue;
-        for (const Rule& rule : it->second) {
-            // All rules of a subtable share its mask, so comparing the
-            // unmasked rule key under sub.mask is masked() == masked.
-            if (sub.mask.same_masked(key, rule.key) &&
-                (!best || rule.priority > best->priority)) {
-                best = &rule;
-            }
-        }
+        const Rule* rule = sub.find(key);
+        if (rule && (!best || rule->priority > best->priority)) best = rule;
     }
     return best;
 }

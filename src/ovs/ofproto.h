@@ -10,15 +10,18 @@
 // subtable can beat the match (tuple priority sorting), so a
 // high-priority hit leaves the lower subtables' fields wildcarded.
 //
-// A stored rule keeps only its match key, priority and a pointer to
-// its action list. Each distinct action list is stored once (NSX's
-// 103,302 rules share 66 lists, mostly goto/drop/ct), and a rule's
-// mask lives once in its subtable.
+// Each subtable stores its rules as miniflows, as OVS's classifier
+// does: of a rule's key only the 64-bit lanes its subtable's mask
+// covers are kept (NSX's masks cover 2.8 of the key's 13 lanes on
+// average), plus its priority and a pointer to its action list. Each
+// distinct action list is stored once (NSX's 103,302 rules share 66
+// lists, mostly goto/drop/ct), and a rule's mask lives once in its
+// subtable. The storage reports under `ovs.ofproto` in memory/show.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -31,9 +34,6 @@ namespace ovsx::ovs {
 struct Match {
     net::FlowKey key;
     net::FlowMask mask;
-
-    // The masked key (computed on construction of the rule).
-    net::FlowKey masked() const { return mask.apply(key); }
 };
 
 struct OfAction {
@@ -99,6 +99,10 @@ struct XlateResult {
 class Ofproto {
 public:
     Ofproto();
+    ~Ofproto();
+    // The memory/show reporter holds `this`.
+    Ofproto(const Ofproto&) = delete;
+    Ofproto& operator=(const Ofproto&) = delete;
 
     // ---- rule management ---------------------------------------------
     void add_rule(OfRule rule);
@@ -123,9 +127,9 @@ public:
     std::uint64_t xlate_count() const { return xlate_count_; }
 
 private:
-    // One installed rule. Its mask is its subtable's.
+    // One installed rule. Its mask is its subtable's; its key lives in
+    // the subtable's lane store.
     struct Rule {
-        net::FlowKey key; // compared under the subtable mask
         std::int32_t priority = 0;
         const OfActionList* actions = nullptr; // into action_lists_
     };
@@ -135,12 +139,33 @@ private:
     };
 
     struct Subtable {
+        Subtable(const net::FlowMask& m, std::int32_t priority, std::size_t creation);
+
+        void add(const net::FlowKey& key, Rule rule);
+        // The highest-priority rule matching `key`, the first added
+        // among equals; nullptr if none.
+        const Rule* find(const net::FlowKey& key) const;
+
         net::FlowMask mask;
-        // Masked-key hash -> rules. Pointers into here stay valid for
-        // the duration of one xlate (no rule is added meanwhile).
-        std::unordered_map<std::uint64_t, std::vector<Rule>> rules;
+        // The lanes where `mask` is non-zero, ascending.
+        std::array<std::uint8_t, net::kFlowKeyLanes> lanes{};
+        std::size_t n_lanes = 0;
+        // Rule i's masked key is keys[i * n_lanes, (i + 1) * n_lanes).
+        std::vector<std::uint64_t> keys;
+        // In the order added. Pointers into here stay valid for the
+        // duration of one xlate (no rule is added meanwhile).
+        std::vector<Rule> rules;
+        // Open-addressed index, linear probing, power-of-two size, at
+        // most 3/4 full. A slot is the masked-key hash's high 32 bits
+        // OR'd with 1 + the rule's index; 0 is empty.
+        std::vector<std::uint64_t> index;
         std::int32_t max_priority = 0; // highest priority of any rule here
         std::size_t created = 0;       // creation index within the table
+
+    private:
+        bool matches(const net::FlowKey& key, std::size_t i) const;
+        void rebuild_index(std::size_t slots);
+        void insert_slot(std::uint64_t hash, std::size_t i);
     };
 
     struct Table {
@@ -163,6 +188,7 @@ private:
     mutable std::map<std::uint32_t, std::uint8_t> recirc_resume_; // id -> resume table
     mutable std::uint32_t next_recirc_id_ = 1;
     mutable std::uint64_t xlate_count_ = 0;
+    std::uint64_t obs_token_ = 0;
 };
 
 } // namespace ovsx::ovs

@@ -7,6 +7,7 @@
 #include "net/builder.h"
 #include "net/headers.h"
 #include "nsx/nsx.h"
+#include "obs/appctl.h"
 #include "ovs/dpif_netdev.h"
 #include "ovs/ofproto.h"
 #include "ovs/vswitch.h"
@@ -482,6 +483,135 @@ TEST(Ofproto, EqualActionListsAreStoredOnce)
 
     of.clear();
     EXPECT_EQ(of.action_list_count(), 0u);
+}
+
+// ---- miniflow storage -----------------------------------------------------
+
+// One field of the `ovs.ofproto` memory/show reporter. Each test owns
+// the only live Ofproto, so the reporter name carries no "#2" suffix.
+std::uint64_t ofproto_memory(const char* field)
+{
+    const obs::Value mem = obs::memory_show();
+    const obs::Value* of = mem.find("ovs.ofproto");
+    EXPECT_NE(of, nullptr) << mem.to_json();
+    if (!of) return 0;
+    const obs::Value* v = of->find(field);
+    EXPECT_NE(v, nullptr) << field;
+    return v ? v->as_uint() : 0;
+}
+
+Match match_dst(std::uint32_t nw_dst, std::uint16_t tp_dst)
+{
+    Match m;
+    m.key.nw_dst = nw_dst;
+    m.key.tp_dst = tp_dst;
+    m.mask.bits.nw_dst = 0xffffffff;
+    m.mask.bits.tp_dst = 0xffff;
+    return m;
+}
+
+TEST(OfprotoMiniflow, FirstAddedEqualPriorityRuleWinsAfterIndexGrowth)
+{
+    Ofproto of;
+    const std::uint32_t dst = ipv4(10, 0, 0, 2);
+    of.add_rule({.table = 0, .priority = 10, .match = match_dst(dst, 2000),
+                 .actions = {OfAction::output(1)}});
+    // Same masked key, same priority; the bits outside the mask differ.
+    Match twin = match_dst(dst, 2000);
+    twin.key.in_port = 7;
+    of.add_rule({.table = 0, .priority = 10, .match = twin, .actions = {OfAction::output(2)}});
+    // Fill the one subtable until its index has doubled several times,
+    // with more equal twins along the way.
+    for (std::uint16_t port = 1; port <= 500; ++port) {
+        of.add_rule({.table = 0, .priority = 10, .match = match_dst(dst, port),
+                     .actions = {OfAction::output(1000u + port)}});
+        if (port % 100 == 0) {
+            of.add_rule({.table = 0, .priority = 10, .match = match_dst(dst, 2000),
+                         .actions = {OfAction::output(3)}});
+        }
+    }
+    EXPECT_EQ(ofproto_memory("subtables"), 1u);
+    EXPECT_GE(ofproto_memory("index_slots"), 512u); // 8 slots at creation
+
+    const XlateResult res = of.xlate(udp_key(1, 2000, dst));
+    ASSERT_EQ(res.actions.size(), 1u);
+    EXPECT_EQ(res.actions[0].port, 1u);
+    EXPECT_EQ(of.xlate(udp_key(1, 77, dst)).actions[0].port, 1077u);
+
+    // A higher priority added last still beats the first-added rule.
+    of.add_rule({.table = 0, .priority = 11, .match = match_dst(dst, 2000),
+                 .actions = {OfAction::output(4)}});
+    EXPECT_EQ(of.xlate(udp_key(1, 2000, dst)).actions[0].port, 4u);
+}
+
+TEST(OfprotoMiniflow, TenThousandRuleSubtableReachesEveryRuleAndMissesTheRest)
+{
+    Ofproto of;
+    constexpr std::uint32_t kRules = 10000;
+    auto dst_of = [](std::uint32_t i) { return ipv4(10, 1, 0, 0) + i; };
+    for (std::uint32_t i = 0; i < kRules; ++i) {
+        of.add_rule({.table = 0, .priority = 10, .match = match_dst(dst_of(i), 2000),
+                     .actions = {OfAction::output(i)}});
+    }
+    EXPECT_EQ(of.rule_count(), kRules);
+    EXPECT_EQ(ofproto_memory("subtables"), 1u);
+    // nw_dst and tp_dst sit in two different lanes.
+    EXPECT_EQ(ofproto_memory("key_lanes"), 2u * kRules);
+    for (std::uint32_t i = 0; i < kRules; ++i) {
+        const XlateResult res = of.xlate(udp_key(1, 2000, dst_of(i)));
+        ASSERT_EQ(res.actions.size(), 1u) << i;
+        ASSERT_EQ(res.actions[0].port, i);
+    }
+    for (std::uint32_t i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(of.xlate(udp_key(1, 2000, dst_of(kRules + i))).dropped) << i;
+        ASSERT_TRUE(of.xlate(udp_key(1, 2001, dst_of(i))).dropped) << i;
+    }
+}
+
+TEST(OfprotoMiniflow, ClearThenReAdd)
+{
+    Ofproto of;
+    for (std::uint32_t port = 1; port <= 40; ++port) {
+        of.add_rule({.table = 0, .priority = 10, .match = match_in_port(port),
+                     .actions = {OfAction::output(port + 100)}});
+    }
+    EXPECT_EQ(of.xlate(udp_key(5)).actions[0].port, 105u);
+    of.clear();
+    EXPECT_EQ(of.rule_count(), 0u);
+    EXPECT_EQ(ofproto_memory("rules"), 0u);
+    EXPECT_EQ(ofproto_memory("key_lanes"), 0u);
+    EXPECT_EQ(ofproto_memory("index_slots"), 0u);
+    EXPECT_TRUE(of.xlate(udp_key(5)).dropped);
+
+    // Same mask again, new actions: nothing of the old rules survives.
+    for (std::uint32_t port = 1; port <= 20; ++port) {
+        of.add_rule({.table = 0, .priority = 10, .match = match_in_port(port),
+                     .actions = {OfAction::output(port + 200)}});
+    }
+    EXPECT_EQ(of.xlate(udp_key(5)).actions[0].port, 205u);
+    EXPECT_TRUE(of.xlate(udp_key(30)).dropped);
+    EXPECT_EQ(ofproto_memory("rules"), 20u);
+    EXPECT_EQ(ofproto_memory("action_lists"), 20u);
+}
+
+TEST(OfprotoMiniflow, NsxRulesetStoresMaskedLanesOnly)
+{
+    // A full-key store would hold 13 lanes per rule; the NSX masks
+    // cover fewer than 3 on average.
+    kern::Kernel host("host");
+    VSwitch vswitch(std::make_unique<DpifNetdev>(host));
+    nsx::NsxConfig cfg = nsx::make_production_config(ipv4(172, 16, 0, 1), /*tunnel_of_port=*/3,
+                                                     {1, 2}, /*local_vm_count=*/1);
+    cfg.target_rules = 20000;
+    nsx::NsxAgent agent(vswitch, cfg);
+    agent.deploy();
+    const std::uint64_t rules = ofproto_memory("rules");
+    EXPECT_EQ(rules, vswitch.ofproto().rule_count());
+    EXPECT_GE(rules, 20000u);
+    EXPECT_LT(static_cast<double>(ofproto_memory("key_lanes")) / static_cast<double>(rules), 4.0);
+    EXPECT_GT(ofproto_memory("subtables"), 0u);
+    EXPECT_GT(ofproto_memory("index_slots"), rules); // at most 3/4 full
+    EXPECT_GT(ofproto_memory("bytes"), 0u);
 }
 
 TEST(Ofproto, ControllerAndMeterTranslate)
